@@ -96,6 +96,7 @@ from .vqa import (
     cost_linear_system,
     cost_matvec,
     cost_toeplitz_system,
+    default_term_lists,
     dense_hamiltonian,
     matvec_target_state,
     optimize,

@@ -1,5 +1,8 @@
 """Gate-level circuits and exact/sampled statevector simulation.
 
+The cost uses these circuits as its shot sampler; run exactly, they are the
+reference its statevector engine (``vqa``) is tested against.
+
 Bit order: qubit 0 is the least significant bit of the basis-state index,
 so bitstrings print qubit (n-1) first.  Every circuit's dense realization
 is unitary; ``ControlledBlock`` wraps an arbitrary unitary acting on a
@@ -22,7 +25,8 @@ from .toeplitz import PhaseSpectrum, phase_spectrum
 
 
 class NonUnitaryBlock(ValueError):
-    """A block gate was given a matrix that is not unitary."""
+    """A block gate's matrix is not unitary, or a simulation did not keep the
+    state's norm."""
 
 
 class ShotCountZero(ValueError):
@@ -245,7 +249,9 @@ def run_statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.n
     expected_norm = 1.0 if initial is None else float(np.linalg.norm(initial))
     for gate in circuit.gates:
         state = _apply_gate(state, gate, circuit.num_qubits)
-    assert abs(np.linalg.norm(state) - expected_norm) < 1e-12 * max(1.0, expected_norm)
+    norm = float(np.linalg.norm(state))
+    if not abs(norm - expected_norm) < 1e-12 * max(1.0, expected_norm):
+        raise NonUnitaryBlock(f"simulation changed the state norm from {expected_norm} to {norm}")
     return state
 
 
@@ -390,38 +396,6 @@ def _prep_unitary(prep: "Circuit | np.ndarray") -> np.ndarray:
     if isinstance(prep, Circuit):
         return circuit_unitary(prep)
     return _check_unitary(prep)
-
-
-def _interference_state(n_system, controlled, left_u, right_u) -> np.ndarray:
-    """State (|0>|left> + |1>|U right>)/sqrt(2) shared by both test variants."""
-    ancilla = n_system
-    system = tuple(range(n_system))
-    circ = Circuit(n_system + 1)
-    circ.h(ancilla)
-    circ.x(ancilla)
-    circ.cblock(ancilla, system, left_u, check=False)
-    circ.x(ancilla)
-    circ.cblock(ancilla, system, right_u, check=False)
-    circ.extend(controlled)
-    return run_statevector(circ)
-
-
-def exact_bracket(
-    n_system: int,
-    controlled: Circuit,
-    state_prep_left: "Circuit | np.ndarray",
-    state_prep_right: "Circuit | np.ndarray",
-) -> complex:
-    """Exact <left|U|right> from one simulation of the interference state.
-
-    Equals hadamard_test(part="real") + 1j*hadamard_test(part="imag")
-    evaluated exactly; used by the cost assembly in exact mode.
-    """
-    state = _interference_state(
-        n_system, controlled, _prep_unitary(state_prep_left), _prep_unitary(state_prep_right)
-    )
-    half = 1 << n_system
-    return complex(2.0 * np.vdot(state[:half], state[half:]))
 
 
 def hadamard_test(

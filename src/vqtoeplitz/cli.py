@@ -105,9 +105,9 @@ def cmd_solve_poisson(args) -> int:
 
     from .linalg import dense_solve
     from .poisson import build_poisson_1d, build_poisson_dd, prepare_b
-    from .vqa import _default_term_lists
+    from .vqa import default_term_lists
 
-    term_lists = _default_term_lists(problem)
+    term_lists = default_term_lists(problem)
     err = verify_problem_terms(problem, term_lists)
     if err > 1e-12:
         print(f"error: term-list reconstruction mismatch {err:.3e}", file=sys.stderr)

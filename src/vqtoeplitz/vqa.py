@@ -4,15 +4,17 @@ The linear-system cost is
 
     E(theta) = <psi|A^2|psi> - |<b|A|psi>|^2
 
-assembled term by term from a decomposition: banded parts through their
-circulant embedding (one extra register qubit plus the test ancilla),
+assembled term by term from a decomposition.  Exact mode prepares the
+ansatz statevector once per evaluation and takes each term as the inner
+product np.vdot(left, apply(op, right)) that a Hadamard test's ancilla bias
+estimates.  Shot mode samples the gate-level circuits: banded parts through
+their circulant embedding (one extra register qubit plus the test ancilla),
 projector pairs through basis-change probability circuits, tensor words
-through controlled-block Hadamard tests.  Exact mode simulates every test
-circuit's statevector; shot mode samples it.
+through controlled-block Hadamard tests.
 
 The matrix-vector cost for a banded T and input state v0 is
 
-    E(theta) = 1 - |<0,psi| C_{T/||T v0||} |0,v0>|^2
+    E(theta) = 1 - |<0,psi| C_{T/||T v0||} |0,v0>|^2 = 1 - |<psi| T/||T v0|| |v0>|^2
 
 which vanishes exactly when |psi> matches the normalized image T|v0>.
 """
@@ -20,8 +22,9 @@ which vanishes exactly when |psi> matches the normalized image T|v0>.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.optimize
@@ -30,11 +33,11 @@ from . import decomposition as deco
 from .circuits import (
     Circuit,
     basis_prep_circuit,
+    bell_pair_circuits,
     bracket,
     circuit_unitary,
     controlled_Ll_circuit,
     controlled_word_circuit,
-    exact_bracket,
     projector_expectation,
     run_statevector,
     state_prep_circuit,
@@ -120,7 +123,30 @@ def ansatz_state(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# bracket evaluation engine
+# exact engine: statevector inner products
+
+
+@lru_cache(maxsize=None)
+def _cached_word_unitary(letters: tuple[str, ...], n: int) -> np.ndarray:
+    return deco.word_to_dense(deco.TensorWord(letters), n)
+
+
+def _apply_operator(op: deco.Operator, n: int, v: np.ndarray) -> np.ndarray:
+    """op|v> for one decomposition descriptor (n = grid points per axis)."""
+    if isinstance(op, ToeplitzSpec):
+        return classical_toeplitz_matvec(op, v)
+    if isinstance(op, deco.ProjectorPair):
+        out = np.zeros_like(v)
+        for i, j in op.pairs:
+            out[i] += v[j]
+            if op.symmetrize and i != j:
+                out[j] += v[i]
+        return out
+    return _cached_word_unitary(op.letters, n) @ v
+
+
+# ---------------------------------------------------------------------------
+# circuit engine: shot sampling, and with shots=None the gate-level reference
 
 
 @lru_cache(maxsize=None)
@@ -131,11 +157,6 @@ def _cached_shift_circuit(n: int, power: int) -> Circuit:
     structured = controlled_Ll_circuit(n, power)
     collapsed = Circuit(structured.num_qubits)
     return collapsed.block(tuple(range(structured.num_qubits)), circuit_unitary(structured))
-
-
-@lru_cache(maxsize=None)
-def _cached_word_unitary(letters: tuple[str, ...], n: int) -> np.ndarray:
-    return deco.word_to_dense(deco.TensorWord(letters), n)
 
 
 @dataclass
@@ -164,8 +185,6 @@ class _BracketEngine:
         return base
 
     def complex_bracket(self, n_system, controlled, left, right) -> complex:
-        if self.shots is None:
-            return exact_bracket(n_system, controlled, left, right)
         return bracket(n_system, controlled, left, right, self.shots, self._draw())
 
     def toeplitz_cross(self, spec: ToeplitzSpec, left_emb, right_emb) -> complex:
@@ -232,7 +251,8 @@ class _BracketEngine:
 # cost functions
 
 
-def _default_term_lists(problem: PoissonProblem) -> tuple[deco.TermList, deco.TermList]:
+def default_term_lists(problem: PoissonProblem) -> tuple[deco.TermList, deco.TermList]:
+    """The decompositions of A and A^2 that the cost of ``problem`` uses."""
     if problem.dimension == 1:
         if problem.boundary.kind == "dirichlet":
             return deco.decompose_dirichlet_1d(problem.n)
@@ -247,74 +267,19 @@ def _default_term_lists(problem: PoissonProblem) -> tuple[deco.TermList, deco.Te
 
 
 def _b_prep_circuit(b_vec: np.ndarray, num_qubits: int) -> Circuit:
-    if np.allclose(b_vec, b_vec[0]) and b_vec[0] != 0:
+    # H^{otimes N} prepares the constant *positive* state only; any other b,
+    # a constant negative one included, is prepared from its amplitudes.
+    if np.allclose(b_vec, 1.0 / np.sqrt(b_vec.size)):
         return uniform_prep_circuit(num_qubits)
     return state_prep_circuit(b_vec)
 
 
-def _a_bracket(
-    engine: _BracketEngine,
-    terms: deco.TermList,
-    b_vec: np.ndarray,
-    left_u: np.ndarray,
-    right_u: np.ndarray,
-    report: list[TermReport],
-) -> complex:
-    n_system = terms.total_dim.bit_length() - 1
-    left_emb = None
-    total = 0.0 + 0.0j
-    for term in terms.terms:
-        if isinstance(term.op, ToeplitzSpec):
-            if left_emb is None:
-                left_emb = _embed_prep(left_u)
-                right_emb = _embed_prep(right_u)
-            value = engine.toeplitz_cross(term.op, left_emb, right_emb)
-            label = f"band[K={term.op.band}]"
-        elif isinstance(term.op, deco.ProjectorPair):
-            value = engine.projector_cross(term.op, b_vec, n_system, right_u)
-            label = f"proj{list(term.op.pairs)}"
-        else:
-            value = engine.word_bracket(term.op, terms.n, n_system, left_u, right_u)
-            label = "word[" + "*".join(term.op.letters) + "]"
-        contribution = term.coefficient * value
-        total += contribution
-        report.append(TermReport(label, value, contribution))
-    return total
-
-
-def _square_bracket(
-    engine: _BracketEngine,
-    terms: deco.TermList,
-    psi_u: np.ndarray,
-    psi_state: np.ndarray,
-    report: list[TermReport],
-) -> float:
-    n_system = terms.total_dim.bit_length() - 1
-    psi_emb = None
-    total = 0.0 + 0.0j
-    for term in terms.terms:
-        if isinstance(term.op, ToeplitzSpec):
-            if psi_emb is None:
-                psi_emb = _embed_prep(psi_u)
-            value = engine.toeplitz_same(term.op, psi_emb)
-            contribution = term.coefficient * value
-            label = f"band[K={term.op.band}]"
-        elif isinstance(term.op, deco.ProjectorPair):
-            value = complex(engine.projector_same(term.op, psi_state))
-            contribution = term.coefficient * value
-            label = f"proj{list(term.op.pairs)}"
-        else:
-            if term.op.is_identity:
-                value = 1.0 + 0.0j
-            else:
-                value = engine.word_bracket(term.op, terms.n, n_system, psi_u, psi_u)
-            contribution = term.coefficient * value
-            if term.conjugate_pair:
-                contribution = contribution + np.conj(contribution)
-            label = "word[" + "*".join(term.op.letters) + "]"
-        total += contribution
-        report.append(TermReport(label, value, contribution))
-    return float(np.real(total))
+def _label(op: deco.Operator) -> str:
+    if isinstance(op, ToeplitzSpec):
+        return f"band[K={op.band}]"
+    if isinstance(op, deco.ProjectorPair):
+        return f"proj{list(op.pairs)}"
+    return "word[" + "*".join(op.letters) + "]"
 
 
 class _SystemCostContext:
@@ -324,17 +289,88 @@ class _SystemCostContext:
         self.a_terms = a_terms
         self.a2_terms = a2_terms
         self.b_vec = b_vec
-        self.b_u = circuit_unitary(_b_prep_circuit(b_vec, num_qubits))
+        self.num_qubits = num_qubits
+        # Exact mode measures nothing the shot circuits could not.
+        for term in a2_terms.terms:
+            if isinstance(term.op, deco.ProjectorPair):
+                bell_pair_circuits(term.op, num_qubits)
 
-    def evaluate(self, ansatz, params, shots, seed):
-        engine = _BracketEngine(shots, seed)
+    @cached_property
+    def b_u(self) -> np.ndarray:
+        return circuit_unitary(_b_prep_circuit(self.b_vec, self.num_qubits))
+
+    def circuit_terms(self, engine: _BracketEngine, ansatz, params):
+        """(cross, same) for ``energy`` as circuit estimates from ``engine``."""
+        n, n_system, b_u = self.a_terms.n, self.num_qubits, self.b_u
         psi_u = circuit_unitary(ansatz_circuit(ansatz, params))
+        b_emb, psi_emb = _embed_prep(b_u), _embed_prep(psi_u)
+
+        def cross(op: deco.Operator) -> complex:
+            if isinstance(op, ToeplitzSpec):
+                return engine.toeplitz_cross(op, b_emb, psi_emb)
+            if isinstance(op, deco.ProjectorPair):
+                return engine.projector_cross(op, self.b_vec, n_system, psi_u)
+            return engine.word_bracket(op, n, n_system, b_u, psi_u)
+
+        def same(op: deco.Operator) -> complex:
+            if isinstance(op, ToeplitzSpec):
+                return engine.toeplitz_same(op, psi_emb)
+            if isinstance(op, deco.ProjectorPair):
+                return complex(engine.projector_same(op, psi_u[:, 0]))
+            return engine.word_bracket(op, n, n_system, psi_u, psi_u)
+
+        return cross, same
+
+    def energy(self, cross, same) -> tuple[float, list[TermReport]]:
+        """<psi|A^2|psi> - |<b|A|psi>|^2 from the term values cross(op) =
+        <b|op|psi> and same(op) = <psi|op|psi>, one report row per term."""
         report: list[TermReport] = []
-        linear = _a_bracket(engine, self.a_terms, self.b_vec, self.b_u, psi_u, report)
-        square = _square_bracket(engine, self.a2_terms, psi_u, psi_u[:, 0], report)
-        energy = square - abs(linear) ** 2
+        linear = 0.0 + 0.0j
+        for term in self.a_terms.terms:
+            value = cross(term.op)
+            contribution = term.coefficient * value
+            linear += contribution
+            report.append(TermReport(_label(term.op), value, contribution))
+        square = 0.0 + 0.0j
+        for term in self.a2_terms.terms:
+            if isinstance(term.op, deco.TensorWord) and term.op.is_identity:
+                value = 1.0 + 0.0j
+            else:
+                value = same(term.op)
+            contribution = term.coefficient * value
+            if term.conjugate_pair:
+                contribution = contribution + np.conj(contribution)
+            square += contribution
+            report.append(TermReport(_label(term.op), value, contribution))
         report.append(TermReport("<b|A|psi>", linear, -abs(linear) ** 2))
-        return float(energy), report
+        return float(np.real(square) - abs(linear) ** 2), report
+
+    def evaluate(self, ansatz, params, shots, seed) -> tuple[float, list[TermReport]]:
+        if shots is not None:
+            return self.energy(*self.circuit_terms(_BracketEngine(shots, seed), ansatz, params))
+        n, psi = self.a_terms.n, ansatz_state(ansatz, params)
+        return self.energy(
+            lambda op: np.vdot(self.b_vec, _apply_operator(op, n, psi)),
+            lambda op: np.vdot(psi, _apply_operator(op, n, psi)),
+        )
+
+    def cost(self, ansatz, params, shots, seed) -> float:
+        return self.evaluate(ansatz, params, shots, seed)[0]
+
+
+def _poisson_context(problem: PoissonProblem, term_lists=None) -> _SystemCostContext:
+    a_terms, a2_terms = term_lists if term_lists is not None else default_term_lists(problem)
+    return _SystemCostContext(a_terms, a2_terms, prepare_b(problem), problem.total_qubits)
+
+
+def _optimizer_cost(context, ansatz: AnsatzSpec, shots: int | None, seed: int):
+    """Cost callable for the optimizer; shot-mode seeds advance per call."""
+    calls = itertools.count(1)
+
+    def cost(params: np.ndarray) -> float:
+        return context.cost(ansatz, params, shots, seed + 7919 * next(calls))
+
+    return cost
 
 
 def cost_linear_system(
@@ -350,9 +386,15 @@ def cost_linear_system(
         raise DimensionMismatch(
             f"ansatz acts on {ansatz.num_qubits} qubits, problem needs {problem.total_qubits}"
         )
-    a_terms, a2_terms = term_lists if term_lists is not None else _default_term_lists(problem)
-    context = _SystemCostContext(a_terms, a2_terms, prepare_b(problem), problem.total_qubits)
-    return context.evaluate(ansatz, params, shots, seed)
+    return _poisson_context(problem, term_lists).evaluate(ansatz, params, shots, seed)
+
+
+def _check_banded_width(spec: ToeplitzSpec, ansatz: AnsatzSpec) -> None:
+    num_qubits = spec.n.bit_length() - 1
+    if spec.n != 1 << num_qubits:
+        raise ValueError("matrix size must be a power of two")
+    if ansatz.num_qubits != num_qubits:
+        raise DimensionMismatch("ansatz width does not match the matrix size")
 
 
 def cost_toeplitz_system(
@@ -366,19 +408,13 @@ def cost_toeplitz_system(
     """Linear-system cost for a banded Toeplitz matrix.
 
     The Gram part <psi|T^dag T|psi> runs through the autocorrelation band
-    minus corner projector corrections; the overlap part through the
-    embedding of T itself.
+    minus corner projector corrections; the overlap part through T itself.
     """
-    num_qubits = spec.n.bit_length() - 1
-    if spec.n != 1 << num_qubits:
-        raise ValueError("matrix size must be a power of two")
-    if ansatz.num_qubits != num_qubits:
-        raise DimensionMismatch("ansatz width does not match the matrix size")
-    context = _toeplitz_system_context(spec, rhs, num_qubits)
-    return context.evaluate(ansatz, params, shots, seed)[0]
+    _check_banded_width(spec, ansatz)
+    return _toeplitz_system_context(spec, rhs).cost(ansatz, params, shots, seed)
 
 
-def _toeplitz_system_context(spec: ToeplitzSpec, rhs, num_qubits: int) -> _SystemCostContext:
+def _toeplitz_system_context(spec: ToeplitzSpec, rhs) -> _SystemCostContext:
     if isinstance(rhs, str):
         b_vec = np.full(spec.n, 1.0 / np.sqrt(spec.n), dtype=complex)
     else:
@@ -387,7 +423,37 @@ def _toeplitz_system_context(spec: ToeplitzSpec, rhs, num_qubits: int) -> _Syste
         (deco.DecompositionTerm(1.0, spec),),
         n=spec.n, dimension=1, target="banded-system", bra_equals_ket=False,
     )
-    return _SystemCostContext(a_terms, deco.decompose_banded_gram(spec), b_vec, num_qubits)
+    return _SystemCostContext(
+        a_terms, deco.decompose_banded_gram(spec), b_vec, spec.n.bit_length() - 1
+    )
+
+
+class _MatvecContext:
+    """Theta-independent pieces of the matrix-vector cost."""
+
+    def __init__(self, spec: ToeplitzSpec, v0: np.ndarray):
+        self.v0 = normalize(np.asarray(v0, dtype=complex))
+        image_norm = np.linalg.norm(classical_toeplitz_matvec(spec, self.v0))
+        if image_norm <= 1e-12:
+            raise ZeroImage("T annihilates v0; the target state is undefined")
+        self.scaled = spec.scaled(1.0 / image_norm)
+        self.target = classical_toeplitz_matvec(self.scaled, self.v0)
+
+    @cached_property
+    def v0_emb(self) -> np.ndarray:
+        num_qubits = self.scaled.n.bit_length() - 1
+        return _embed_prep(circuit_unitary(_b_prep_circuit(self.v0, num_qubits)))
+
+    def circuit_overlap(self, engine: _BracketEngine, ansatz, params) -> complex:
+        psi_emb = _embed_prep(circuit_unitary(ansatz_circuit(ansatz, params)))
+        return engine.toeplitz_cross(self.scaled, psi_emb, self.v0_emb)
+
+    def cost(self, ansatz, params, shots, seed) -> float:
+        if shots is None:
+            overlap = np.vdot(ansatz_state(ansatz, params), self.target)
+        else:
+            overlap = self.circuit_overlap(_BracketEngine(shots, seed), ansatz, params)
+        return float(1.0 - abs(overlap) ** 2)
 
 
 def cost_matvec(
@@ -398,75 +464,27 @@ def cost_matvec(
     shots: int | None = None,
     seed: int = 0,
 ) -> float:
-    """E(theta) = 1 - |<0,psi| C_{T/||T v0||} |0,v0>|^2."""
-    num_qubits = spec.n.bit_length() - 1
-    if spec.n != 1 << num_qubits:
-        raise ValueError("matrix size must be a power of two")
-    if ansatz.num_qubits != num_qubits:
-        raise DimensionMismatch("ansatz width does not match the matrix size")
-    v0 = normalize(np.asarray(v0, dtype=complex))
-    image_norm = np.linalg.norm(classical_toeplitz_matvec(spec, v0))
-    if image_norm <= 1e-12:
-        raise ZeroImage("T annihilates v0; the target state is undefined")
-    scaled = spec.scaled(1.0 / image_norm)
-    engine = _BracketEngine(shots, seed)
-    psi_u = circuit_unitary(ansatz_circuit(ansatz, params))
-    v0_emb = _embed_prep(circuit_unitary(_b_prep_circuit(v0, num_qubits)))
-    overlap = engine.toeplitz_cross(scaled, _embed_prep(psi_u), v0_emb)
-    return float(1.0 - abs(overlap) ** 2)
+    """E(theta) = 1 - |<psi| T/||T v0|| |v0>|^2."""
+    _check_banded_width(spec, ansatz)
+    return _MatvecContext(spec, v0).cost(ansatz, params, shots, seed)
 
 
 def matvec_target_state(spec: ToeplitzSpec, v0: np.ndarray) -> np.ndarray:
     """Classical normalized image T|v0>, the state the matvec cost selects."""
-    v0 = normalize(np.asarray(v0, dtype=complex))
-    image = classical_toeplitz_matvec(spec, v0)
-    if np.linalg.norm(image) <= 1e-12:
-        raise ZeroImage("T annihilates v0; the target state is undefined")
-    return normalize(image)
+    return _MatvecContext(spec, v0).target
 
 
 def make_linear_system_cost(problem, ansatz, shots=None, seed=0):
     """Cost callable for the optimizer; shot-mode seeds advance per call."""
-    a_terms, a2_terms = _default_term_lists(problem)
-    context = _SystemCostContext(a_terms, a2_terms, prepare_b(problem), problem.total_qubits)
-    counter = [0]
-
-    def cost(params: np.ndarray) -> float:
-        counter[0] += 1
-        return context.evaluate(ansatz, params, shots, seed + 7919 * counter[0])[0]
-
-    return cost
+    return _optimizer_cost(_poisson_context(problem), ansatz, shots, seed)
 
 
 def make_toeplitz_system_cost(spec, rhs, ansatz, shots=None, seed=0):
-    context = _toeplitz_system_context(spec, rhs, spec.n.bit_length() - 1)
-    counter = [0]
-
-    def cost(params: np.ndarray) -> float:
-        counter[0] += 1
-        return context.evaluate(ansatz, params, shots, seed + 7919 * counter[0])[0]
-
-    return cost
+    return _optimizer_cost(_toeplitz_system_context(spec, rhs), ansatz, shots, seed)
 
 
 def make_matvec_cost(spec, v0, ansatz, shots=None, seed=0):
-    v0 = normalize(np.asarray(v0, dtype=complex))
-    image_norm = np.linalg.norm(classical_toeplitz_matvec(spec, v0))
-    if image_norm <= 1e-12:
-        raise ZeroImage("T annihilates v0; the target state is undefined")
-    scaled = spec.scaled(1.0 / image_norm)
-    num_qubits = spec.n.bit_length() - 1
-    v0_emb = _embed_prep(circuit_unitary(_b_prep_circuit(v0, num_qubits)))
-    counter = [0]
-
-    def cost(params: np.ndarray) -> float:
-        counter[0] += 1
-        engine = _BracketEngine(shots, seed + 7919 * counter[0])
-        psi_emb = _embed_prep(circuit_unitary(ansatz_circuit(ansatz, params)))
-        overlap = engine.toeplitz_cross(scaled, psi_emb, v0_emb)
-        return float(1.0 - abs(overlap) ** 2)
-
-    return cost
+    return _optimizer_cost(_MatvecContext(spec, v0), ansatz, shots, seed)
 
 
 def dense_hamiltonian(problem: PoissonProblem) -> np.ndarray:

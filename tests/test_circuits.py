@@ -14,7 +14,6 @@ from vqtoeplitz.circuits import (
     circuit_unitary,
     controlled_Ll_circuit,
     controlled_word_circuit,
-    exact_bracket,
     hadamard_test,
     inverse_qft_circuit,
     phase_tower_circuit,
@@ -69,6 +68,15 @@ def test_initial_state_dimension_check():
 def test_non_unitary_block_rejected():
     with pytest.raises(NonUnitaryBlock):
         Circuit(2).block((0, 1), np.ones((4, 4)))
+
+
+def test_simulation_rejects_norm_change():
+    # a typed error rather than an assert, so the check also runs under python -O
+    circ = Circuit(2).h(0).block((1,), 2.0 * np.eye(2), check=False)
+    with pytest.raises(NonUnitaryBlock):
+        run_statevector(circ)
+    with pytest.raises(NonUnitaryBlock):
+        run_statevector(circ, basis_state(2, 3))
 
 
 def test_gate_qubit_validation():
@@ -207,7 +215,6 @@ def test_hadamard_test_against_dense_brackets():
         re = hadamard_test(4, controlled, left, right, "real")
         im = hadamard_test(4, controlled, left, right, "imag")
         assert abs(complex(re, im) - expected) <= 1e-10
-        assert abs(exact_bracket(4, controlled, left, right) - expected) <= 1e-10
 
 
 def test_hadamard_test_random_word_unitaries():

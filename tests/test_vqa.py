@@ -3,14 +3,35 @@
 import numpy as np
 import pytest
 
-from vqtoeplitz.linalg import basis_state, fidelity, normalize
+from vqtoeplitz import decomposition as deco
+from vqtoeplitz.circuits import (
+    Circuit,
+    UnsupportedPattern,
+    basis_prep_circuit,
+    circuit_unitary,
+    controlled_Ll_circuit,
+    controlled_word_circuit,
+    hadamard_test,
+    projector_expectation,
+    state_prep_circuit,
+)
+from vqtoeplitz.linalg import basis_state, fidelity, normalize, random_state
 from vqtoeplitz.poisson import BoundaryCondition, PoissonProblem, prepare_b
-from vqtoeplitz.toeplitz import ToeplitzSpec, toeplitz_to_dense
+from vqtoeplitz.toeplitz import (
+    ToeplitzSpec,
+    circulant_expectation_terms,
+    embed_in_circulant,
+    toeplitz_to_dense,
+)
 from vqtoeplitz.vqa import (
     AnsatzSpec,
     LengthMismatch,
     OptimizerConfig,
     ZeroImage,
+    _apply_operator,
+    _BracketEngine,
+    _MatvecContext,
+    _SystemCostContext,
     ansatz_circuit,
     ansatz_state,
     cost_linear_system,
@@ -71,8 +92,12 @@ def test_ansatz_layer_structure():
         PoissonProblem(1, 2, rhs=np.array([0.2, -1.0, 0.4, 2.0])),
         PoissonProblem(2, 1),
         PoissonProblem(2, 2),
+        PoissonProblem(1, 3, BoundaryCondition.unified(1.0, 2.0, 3.0, 1.0), rhs=-np.ones(8)),
     ],
-    ids=["dirichlet-1d", "unified-1d", "explicit-rhs", "dirichlet-2d-tiny", "dirichlet-2d"],
+    ids=[
+        "dirichlet-1d", "unified-1d", "explicit-rhs", "dirichlet-2d-tiny", "dirichlet-2d",
+        "unified-1d-negative-rhs",
+    ],
 )
 def test_cost_matches_dense_hamiltonian(problem):
     rng = np.random.default_rng(14)
@@ -215,6 +240,129 @@ def test_shot_mode_cost_converges_near_optimum():
         if abs(sampled - exact) > 0.01:
             misses += 1
     assert misses <= 2  # >= 95% of trials within 0.01
+
+
+def test_shot_mode_constant_negative_rhs():
+    # H^N prepares +uniform, so a constant negative b must be prepared from its
+    # amplitudes; near the solution the shot noise (about 0.004 at 1e6 shots) is
+    # far below the 0.18 a sign mix-up between the terms of <b|A|psi> adds here.
+    problem = PoissonProblem(1, 3, BoundaryCondition.unified(1.0, 2.0, 3.0, 1.0), rhs=-np.ones(8))
+    ansatz = AnsatzSpec(3, 2)
+    params = np.array([9.4216, 3.8033, 1.4838, 4.7156, 2.2538, 0.1736])
+    psi = ansatz_state(ansatz, params)
+    expected = float(np.real(psi.conj() @ dense_hamiltonian(problem) @ psi))
+    sampled, _ = cost_linear_system(problem, ansatz, params, shots=10**6, seed=0)
+    assert abs(sampled - expected) < 0.01
+
+
+# ---------------------------------------------------------------------------
+# statevector engine vs the gate-level circuits
+
+
+def _gram_term_lists(spec):
+    a_terms = deco.TermList(
+        (deco.DecompositionTerm(1.0, spec),), spec.n, 1, "banded-system", bra_equals_ket=False
+    )
+    return a_terms, deco.decompose_banded_gram(spec)
+
+
+ENGINE_FAMILIES = {
+    "dirichlet-1d": deco.decompose_dirichlet_1d(8),
+    "unified-1d": deco.decompose_unified_1d(8, 0.35, 0.65),
+    "words-2d": (deco.decompose_dirichlet_dd(2, 4), deco.decompose_dirichlet_dd_squared(2, 4)),
+    "words-3d": (deco.decompose_dirichlet_dd(3, 4), deco.decompose_dirichlet_dd_squared(3, 4)),
+    "banded-gram": _gram_term_lists(ToeplitzSpec(8, {-2: 0.7, -1: -1.3, 0: 2.1, 1: 0.4, 2: -0.9})),
+}
+
+
+def _gate_bracket(op, n, left, right) -> complex:
+    """<left|op|right> from Hadamard tests (real + imag) on the paper's circuits."""
+    num_qubits = left.shape[0].bit_length() - 1
+
+    def test(controlled, n_system, left_u, right_u):
+        re = hadamard_test(n_system, controlled, left_u, right_u, "real")
+        return complex(re, hadamard_test(n_system, controlled, left_u, right_u, "imag"))
+
+    def prep(state):
+        return circuit_unitary(state_prep_circuit(state))
+
+    if isinstance(op, ToeplitzSpec):
+        pad = np.zeros(op.n)
+        left_u, right_u = prep(np.concatenate([left, pad])), prep(np.concatenate([right, pad]))
+        return sum(
+            coeff * test(controlled_Ll_circuit(2 * op.n, power % (2 * op.n)), num_qubits + 1,
+                         left_u, right_u)
+            for coeff, power in circulant_expectation_terms(embed_in_circulant(op))
+        )
+    if isinstance(op, deco.ProjectorPair):
+        # sum_(i,j) conj(left_i) <j|right>, each amplitude one basis-state bracket
+        entries = list(op.pairs) + [(j, i) for i, j in op.pairs if op.symmetrize and i != j]
+        identity = Circuit(num_qubits + 1)
+        return sum(
+            np.conj(left[i])
+            * test(identity, num_qubits, circuit_unitary(basis_prep_circuit(num_qubits, j)),
+                   prep(right))
+            for i, j in entries
+        )
+    controlled = controlled_word_circuit(num_qubits, deco.word_to_dense(op, n))
+    return test(controlled, num_qubits, prep(left), prep(right))
+
+
+@pytest.mark.parametrize("family", list(ENGINE_FAMILIES))
+def test_engine_brackets_match_gate_level_circuits(family):
+    rng = np.random.default_rng(71)
+    a_terms, a2_terms = ENGINE_FAMILIES[family]
+    n, num_qubits = a_terms.n, a_terms.total_dim.bit_length() - 1
+    for _ in range(2):
+        left, right = random_state(num_qubits, rng), random_state(num_qubits, rng)
+        for op in [term.op for term in a_terms.terms + a2_terms.terms]:
+            cross = np.vdot(left, _apply_operator(op, n, right))
+            assert abs(cross - _gate_bracket(op, n, left, right)) <= 1e-10, op
+            same = np.vdot(right, _apply_operator(op, n, right))
+            if isinstance(op, deco.ProjectorPair):
+                reference = projector_expectation(op, right)
+            else:
+                reference = _gate_bracket(op, n, right, right)
+            assert abs(same - reference) <= 1e-10, op
+
+
+@pytest.mark.parametrize("family", list(ENGINE_FAMILIES))
+def test_exact_cost_matches_circuit_engine(family):
+    rng = np.random.default_rng(72)
+    a_terms, a2_terms = ENGINE_FAMILIES[family]
+    num_qubits = a_terms.total_dim.bit_length() - 1
+    ansatz = AnsatzSpec(num_qubits, 2)
+    b = normalize(rng.standard_normal(a_terms.total_dim))
+    context = _SystemCostContext(a_terms, a2_terms, b, num_qubits)
+    for _ in range(2):
+        params = rng.uniform(0, 2 * np.pi, ansatz.param_count)
+        energy, report = context.evaluate(ansatz, params, None, 0)
+        cross, same = context.circuit_terms(_BracketEngine(None, 0), ansatz, params)
+        ref_energy, ref_report = context.energy(cross, same)
+        assert abs(energy - ref_energy) <= 1e-10
+        assert [row.label for row in report] == [row.label for row in ref_report]
+        for row, ref in zip(report, ref_report):
+            assert abs(row.value - ref.value) <= 1e-10
+
+
+def test_exact_matvec_cost_matches_circuit_engine():
+    rng = np.random.default_rng(73)
+    ansatz = AnsatzSpec(3, 3)
+    context = _MatvecContext(ToeplitzSpec(8, {-1: 0.5, 0: 1.7, 2: -1.1}), rng.standard_normal(8))
+    for _ in range(5):
+        params = rng.uniform(0, 2 * np.pi, ansatz.param_count)
+        overlap = context.circuit_overlap(_BracketEngine(None, 0), ansatz, params)
+        assert context.cost(ansatz, params, None, 0) == pytest.approx(1 - abs(overlap) ** 2, abs=1e-10)
+
+
+def test_exact_cost_rejects_unmeasurable_projector():
+    # exact mode evaluates only what the shot circuits can measure
+    a_terms, _ = deco.decompose_dirichlet_1d(8)
+    triple = deco.ProjectorPair(((0, 0), (1, 1), (2, 2)))
+    a2_terms = deco.TermList((deco.DecompositionTerm(1.0, triple),), 8, 1, "triple")
+    with pytest.raises(UnsupportedPattern):
+        cost_linear_system(PoissonProblem(1, 3), AnsatzSpec(3, 1), np.zeros(3),
+                           term_lists=(a_terms, a2_terms))
 
 
 # ---------------------------------------------------------------------------
