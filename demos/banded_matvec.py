@@ -1,8 +1,11 @@
 """Variational matrix-vector multiplication with a banded Toeplitz matrix.
 
-The target is the normalized image T|v0>; the cost 1 - |<0,psi|C|0,v0>|^2
-is estimated entirely from embedded-shift circuits and vanishes exactly
-at the target state.
+The target is the normalized image T|v0>.  The cost is the linear-system
+cost with G = I: A is the adjoint of T_s = T/||T v0|| and b = v0, so
+
+    E(theta) = 1 - |<v0|T_s^dag|psi>|^2 = 1 - |<psi|T_s|v0>|^2,
+
+one banded bracket per evaluation, vanishing exactly at the target state.
 """
 
 import numpy as np
@@ -10,7 +13,7 @@ import numpy as np
 from vqtoeplitz import AnsatzSpec, OptimizerConfig, ToeplitzSpec, fidelity, optimize
 from vqtoeplitz.linalg import normalize
 from vqtoeplitz.toeplitz import classical_toeplitz_matvec
-from vqtoeplitz.vqa import ansatz_state, cost_matvec, make_matvec_cost, matvec_target_state
+from vqtoeplitz.vqa import ansatz_state, make_matvec_cost, matvec_target_state
 
 rng = np.random.default_rng(7)
 
@@ -22,11 +25,11 @@ print("band coefficients:", {l: spec.coeffs[l] for l in sorted(spec.coeffs)})
 print("classical image T v0 (normalized):", np.round(target.real, 4))
 
 ansatz = AnsatzSpec(num_qubits=3, depth=3)
-print(f"\ncost at random parameters: "
-      f"{cost_matvec(spec, v0, ansatz, rng.uniform(0, 2*np.pi, ansatz.param_count)):.4f}")
+cost = make_matvec_cost(spec, v0, ansatz)
+print(f"\ncost at random parameters: {cost(rng.uniform(0, 2*np.pi, ansatz.param_count)):.4f}")
 
 trace = optimize(
-    make_matvec_cost(spec, v0, ansatz),
+    cost,
     ansatz,
     OptimizerConfig(restarts=5, seed=3),
     reference_state=target,

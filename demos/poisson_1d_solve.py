@@ -1,14 +1,16 @@
 """Variational solve of the 1-D Poisson system on 3 qubits.
 
 Walks through the whole pipeline: discretize, decompose, assemble the
-cost from circuit estimates, optimize with random restarts, and compare
-the optimized state against the exact dense solution.
+cost E(theta) = <psi|A^2|psi> - |<b|A|psi>|^2 from the two term lists,
+optimize with random restarts, compare the optimized state against the
+exact dense solution, and print each term's share of the final cost.
 """
 
 import numpy as np
 
 from vqtoeplitz import (
     AnsatzSpec,
+    Cost,
     OptimizerConfig,
     PoissonProblem,
     build_poisson_1d,
@@ -20,7 +22,7 @@ from vqtoeplitz import (
     prepare_b,
 )
 from vqtoeplitz.decomposition import count_terms
-from vqtoeplitz.vqa import ansatz_state, make_linear_system_cost
+from vqtoeplitz.vqa import ansatz_state
 
 problem = PoissonProblem(dimension=1, qubits_per_axis=3)  # n = 8 grid points
 a = build_poisson_1d(problem)
@@ -38,7 +40,7 @@ x = normalize(dense_solve(a, np.asarray(b)))
 print("\nexact solution state:", np.round(x.real, 4))
 
 ansatz = AnsatzSpec(num_qubits=3, depth=2)  # 6 parameters
-cost = make_linear_system_cost(problem, ansatz)
+cost = Cost(a_terms, a2_terms, b, ansatz)  # what make_linear_system_cost(problem, ansatz) builds
 config = OptimizerConfig(restarts=5, seed=1)
 
 print(f"\noptimizing {ansatz.param_count} parameters, {config.restarts} restarts ...")
@@ -54,3 +56,8 @@ history = [r for r in trace.records if r.restart == trace.best_restart]
 print("\niter    best cost      fidelity")
 for rec in history[:: max(1, len(history) // 10)]:
     print(f"{rec.iteration:5d}   {rec.cost:.3e}    {rec.fidelity:.6f}")
+
+# per-term values and contributions at the optimum
+print("\nterm                      value                 contribution")
+for row in cost.report(trace.best_params)[1]:
+    print(f"{row.label:24s}  {row.value.real:+.6f}{row.value.imag:+.6f}j  {row.contribution.real:+.3e}")

@@ -87,17 +87,18 @@ from .circuits import (
 )
 from .vqa import (
     AnsatzSpec,
+    Cost,
     LengthMismatch,
     OptimizerConfig,
     TrainingTrace,
     ZeroImage,
     ansatz_circuit,
     ansatz_state,
-    cost_linear_system,
-    cost_matvec,
-    cost_toeplitz_system,
     default_term_lists,
     dense_hamiltonian,
+    make_linear_system_cost,
+    make_matvec_cost,
+    make_toeplitz_system_cost,
     matvec_target_state,
     optimize,
     solution_fidelity,

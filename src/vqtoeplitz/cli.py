@@ -21,15 +21,22 @@ from pathlib import Path
 import numpy as np
 
 from . import decomposition as deco
-from .linalg import MAX_DENSE_DIM, DimensionOverflow, ZeroVector, fidelity, normalize
-from .poisson import UnsupportedProblem, problem_from_dict
-from .toeplitz import NotBanded, ToeplitzSpec
+from .linalg import MAX_DENSE_DIM, DimensionOverflow, ZeroVector, dense_solve, fidelity, normalize
+from .poisson import (
+    UnsupportedProblem,
+    build_poisson_1d,
+    build_poisson_dd,
+    prepare_b,
+    problem_from_dict,
+)
+from .toeplitz import NotBanded, ToeplitzSpec, toeplitz_to_dense
 from .vqa import (
     AnsatzSpec,
+    Cost,
     OptimizerConfig,
     ZeroImage,
     ansatz_state,
-    make_linear_system_cost,
+    default_term_lists,
     make_matvec_cost,
     make_toeplitz_system_cost,
     matvec_target_state,
@@ -70,6 +77,15 @@ def _spec_from_config(payload: dict) -> ToeplitzSpec:
     return ToeplitzSpec(int(payload["n"]), coeffs)
 
 
+def _vector(payload: dict, key: str, n: int) -> np.ndarray:
+    """The normalized ``key`` vector of a banded config; "uniform" if absent."""
+    value = payload.get(key, "uniform")
+    vec = np.ones(n) if value == "uniform" else np.asarray(value, dtype=float)
+    if vec.shape != (n,) or not np.all(np.isfinite(vec)):
+        raise ValueError(f"{key} must be 'uniform' or {n} finite numbers")
+    return normalize(vec)
+
+
 def _run_and_report(cost, ansatz, config, reference, out_dir: Path) -> dict:
     t0 = time.perf_counter()
     trace = optimize(cost, ansatz, config, reference_state=reference)
@@ -95,17 +111,13 @@ def cmd_solve_poisson(args) -> int:
     except (OSError, json.JSONDecodeError, UnsupportedProblem, ZeroVector, ValueError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if problem.total_dim > MAX_DENSE_DIM or problem.total_qubits > 10:
+    if problem.total_dim > MAX_DENSE_DIM:
         print(
             f"error: problem dimension {problem.total_dim} exceeds the oracle cap; "
             "fidelity reporting is impossible",
             file=sys.stderr,
         )
         return EXIT_CAP
-
-    from .linalg import dense_solve
-    from .poisson import build_poisson_1d, build_poisson_dd, prepare_b
-    from .vqa import default_term_lists
 
     term_lists = default_term_lists(problem)
     err = verify_problem_terms(problem, term_lists)
@@ -114,10 +126,11 @@ def cmd_solve_poisson(args) -> int:
         return EXIT_VERIFY
 
     ansatz = AnsatzSpec(problem.total_qubits, depth=args.depth)
-    config = OptimizerConfig(restarts=args.restarts, seed=args.seed, shots=shots)
-    cost = make_linear_system_cost(problem, ansatz, shots=shots, seed=args.seed)
+    config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
+    b = prepare_b(problem)
+    cost = Cost(*term_lists, b, ansatz, shots=shots, seed=args.seed)
     a = build_poisson_1d(problem) if problem.dimension == 1 else build_poisson_dd(problem)
-    reference = normalize(dense_solve(a, np.asarray(prepare_b(problem))))
+    reference = normalize(dense_solve(a, np.asarray(b)))
     try:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -139,15 +152,16 @@ def cmd_toeplitz(args) -> int:
         num_qubits = spec.n.bit_length() - 1
         if spec.n != 1 << num_qubits:
             raise NotBanded("matrix size must be a power of two")
-    except (OSError, json.JSONDecodeError, KeyError, NotBanded, ValueError) as exc:
+        vec = _vector(payload, "rhs" if args.mode == "solve" else "v0", spec.n)
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, NotBanded, ValueError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if spec.n > MAX_DENSE_DIM or num_qubits > 10:
+    if spec.n > MAX_DENSE_DIM:
         print("error: size exceeds the oracle cap", file=sys.stderr)
         return EXIT_CAP
 
     ansatz = AnsatzSpec(num_qubits, depth=args.depth)
-    config = OptimizerConfig(restarts=args.restarts, seed=args.seed, shots=shots)
+    config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     try:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -156,32 +170,11 @@ def cmd_toeplitz(args) -> int:
         return EXIT_CONFIG
 
     if args.mode == "solve":
-        rhs = payload.get("rhs", "uniform")
-        if not isinstance(rhs, str):
-            rhs = np.asarray(rhs, dtype=float)
-        from .linalg import dense_solve
-        from .toeplitz import toeplitz_to_dense
-
-        b_vec = (
-            np.full(spec.n, 1.0 / np.sqrt(spec.n))
-            if isinstance(rhs, str)
-            else normalize(rhs)
-        )
-        reference = normalize(dense_solve(toeplitz_to_dense(spec), b_vec))
-        cost = make_toeplitz_system_cost(spec, rhs, ansatz, shots=shots, seed=args.seed)
+        reference = normalize(dense_solve(toeplitz_to_dense(spec), vec))
+        cost = make_toeplitz_system_cost(spec, vec, ansatz, shots=shots, seed=args.seed)
     else:
-        v0 = payload.get("v0", "uniform")
-        v0 = (
-            np.full(spec.n, 1.0 / np.sqrt(spec.n))
-            if isinstance(v0, str)
-            else normalize(np.asarray(v0, dtype=float))
-        )
-        try:
-            reference = matvec_target_state(spec, v0)
-        except ZeroImage as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DEGENERATE
-        cost = make_matvec_cost(spec, v0, ansatz, shots=shots, seed=args.seed)
+        reference = matvec_target_state(spec, vec)
+        cost = make_matvec_cost(spec, vec, ansatz, shots=shots, seed=args.seed)
 
     summary = _run_and_report(cost, ansatz, config, reference, out_dir)
     print(json.dumps(summary, sort_keys=True))
@@ -251,6 +244,9 @@ def main(argv=None) -> int:
     except DimensionOverflow as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except NotBanded as exc:  # e.g. a band whose Gram no longer fits the size
+        print(f"error: invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ZeroImage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

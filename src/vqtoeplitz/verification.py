@@ -33,7 +33,7 @@ from .toeplitz import (
     phase_spectrum_diagonal,
     toeplitz_to_dense,
 )
-from .vqa import AnsatzSpec, ansatz_state, cost_linear_system, dense_hamiltonian
+from .vqa import AnsatzSpec, ansatz_state, dense_hamiltonian, make_linear_system_cost
 
 
 @dataclass
@@ -228,9 +228,10 @@ def _check_cost_vs_dense(samples: int, rng) -> CheckResult:
     for problem in cases:
         ansatz = AnsatzSpec(problem.total_qubits, depth=2)
         h = dense_hamiltonian(problem)
+        cost = make_linear_system_cost(problem, ansatz)
         for _ in range(samples):
             params = rng.uniform(0, 2 * np.pi, ansatz.param_count)
-            energy, _ = cost_linear_system(problem, ansatz, params)
+            energy = cost(params)
             psi = ansatz_state(ansatz, params)
             expected = float(np.real(psi.conj() @ h @ psi))
             err = max(err, abs(energy - expected))

@@ -1,22 +1,25 @@
 """Ansatz, cost functions, and the variational optimization loop.
 
-The linear-system cost is
+Every cost is one functional of two decompositions and a state b:
 
-    E(theta) = <psi|A^2|psi> - |<b|A|psi>|^2
+    E(theta) = Re<psi|G|psi> - |<b|A|psi>|^2
 
-assembled term by term from a decomposition.  Exact mode prepares the
-ansatz statevector once per evaluation and takes each term as the inner
-product np.vdot(left, apply(op, right)) that a Hadamard test's ancilla bias
-estimates.  Shot mode samples the gate-level circuits: banded parts through
-their circulant embedding (one extra register qubit plus the test ancilla),
-projector pairs through basis-change probability circuits, tensor words
-through controlled-block Hadamard tests.
+assembled term by term by ``Cost``.  The linear-system costs take G = A^2
+(Poisson) or G = T^dag T (banded system); the matrix-vector cost for a
+banded T and input state v0 is the G = I case with A = T_s^dag,
+T_s = T/||T v0||, and b = v0:
 
-The matrix-vector cost for a banded T and input state v0 is
-
-    E(theta) = 1 - |<0,psi| C_{T/||T v0||} |0,v0>|^2 = 1 - |<psi| T/||T v0|| |v0>|^2
+    E(theta) = 1 - |<v0|T_s^dag|psi>|^2 = 1 - |<psi|T_s|v0>|^2
 
 which vanishes exactly when |psi> matches the normalized image T|v0>.
+
+Exact mode prepares the ansatz statevector once per evaluation and takes
+each term as the inner product np.vdot(left, apply(op, right)) that a
+Hadamard test's ancilla bias estimates.  Shot mode samples the gate-level
+circuits: banded parts through their circulant embedding (one extra
+register qubit plus the test ancilla), projector pairs through
+basis-change probability circuits, tensor words through controlled-block
+Hadamard tests.
 """
 
 from __future__ import annotations
@@ -282,34 +285,61 @@ def _label(op: deco.Operator) -> str:
     return "word[" + "*".join(op.letters) + "]"
 
 
-class _SystemCostContext:
-    """Theta-independent pieces of a linear-system cost."""
+class Cost:
+    """E(theta) = Re<psi|G|psi> - |<b|A|psi>|^2 from the term lists of A and G.
 
-    def __init__(self, a_terms, a2_terms, b_vec, num_qubits):
-        self.a_terms = a_terms
-        self.a2_terms = a2_terms
-        self.b_vec = b_vec
-        self.num_qubits = num_qubits
+    The k-th evaluation (k = 0, 1, ...; ``__call__`` and ``report`` alike)
+    samples with seed + 7919*k, so a fresh cost's first evaluation is the
+    one-shot estimate at ``seed``.  Exact mode (shots=None) draws nothing.
+    """
+
+    def __init__(self, a_terms, g_terms, b, ansatz: AnsatzSpec, shots=None, seed=0):
+        b = np.asarray(b)
+        num_qubits = b.size.bit_length() - 1
+        if b.size != 1 << num_qubits:
+            raise ValueError("matrix size must be a power of two")
+        if a_terms.total_dim != b.size or ansatz.num_qubits != num_qubits:
+            raise DimensionMismatch(
+                f"ansatz acts on {ansatz.num_qubits} qubits, the operator on {a_terms.total_dim}"
+                f" amplitudes and b has {b.size}"
+            )
         # Exact mode measures nothing the shot circuits could not.
-        for term in a2_terms.terms:
+        for term in g_terms.terms:
             if isinstance(term.op, deco.ProjectorPair):
                 bell_pair_circuits(term.op, num_qubits)
+        self.a_terms, self.g_terms, self.b = a_terms, g_terms, b
+        self.ansatz, self.shots, self.seed = ansatz, shots, int(seed)
+        self._evals = itertools.count()
+
+    def __call__(self, params: np.ndarray) -> float:
+        return self.report(params)[0]
+
+    def report(self, params: np.ndarray) -> tuple[float, list[TermReport]]:
+        """The cost and one report row per term, the overlap <b|A|psi> last."""
+        seed = self.seed + 7919 * next(self._evals)
+        if self.shots is not None:
+            return self._energy(*self._circuit_terms(_BracketEngine(self.shots, seed), params))
+        n, psi = self.a_terms.n, ansatz_state(self.ansatz, params)
+        return self._energy(
+            lambda op: np.vdot(self.b, _apply_operator(op, n, psi)),
+            lambda op: np.vdot(psi, _apply_operator(op, n, psi)),
+        )
 
     @cached_property
-    def b_u(self) -> np.ndarray:
-        return circuit_unitary(_b_prep_circuit(self.b_vec, self.num_qubits))
+    def _b_u(self) -> np.ndarray:
+        return circuit_unitary(_b_prep_circuit(self.b, self.ansatz.num_qubits))
 
-    def circuit_terms(self, engine: _BracketEngine, ansatz, params):
-        """(cross, same) for ``energy`` as circuit estimates from ``engine``."""
-        n, n_system, b_u = self.a_terms.n, self.num_qubits, self.b_u
-        psi_u = circuit_unitary(ansatz_circuit(ansatz, params))
+    def _circuit_terms(self, engine: _BracketEngine, params):
+        """(cross, same) for ``_energy`` as circuit estimates from ``engine``."""
+        n, n_system, b_u = self.a_terms.n, self.ansatz.num_qubits, self._b_u
+        psi_u = circuit_unitary(ansatz_circuit(self.ansatz, params))
         b_emb, psi_emb = _embed_prep(b_u), _embed_prep(psi_u)
 
         def cross(op: deco.Operator) -> complex:
             if isinstance(op, ToeplitzSpec):
                 return engine.toeplitz_cross(op, b_emb, psi_emb)
             if isinstance(op, deco.ProjectorPair):
-                return engine.projector_cross(op, self.b_vec, n_system, psi_u)
+                return engine.projector_cross(op, self.b, n_system, psi_u)
             return engine.word_bracket(op, n, n_system, b_u, psi_u)
 
         def same(op: deco.Operator) -> complex:
@@ -321,8 +351,8 @@ class _SystemCostContext:
 
         return cross, same
 
-    def energy(self, cross, same) -> tuple[float, list[TermReport]]:
-        """<psi|A^2|psi> - |<b|A|psi>|^2 from the term values cross(op) =
+    def _energy(self, cross, same) -> tuple[float, list[TermReport]]:
+        """<psi|G|psi> - |<b|A|psi>|^2 from the term values cross(op) =
         <b|op|psi> and same(op) = <psi|op|psi>, one report row per term."""
         report: list[TermReport] = []
         linear = 0.0 + 0.0j
@@ -332,7 +362,7 @@ class _SystemCostContext:
             linear += contribution
             report.append(TermReport(_label(term.op), value, contribution))
         square = 0.0 + 0.0j
-        for term in self.a2_terms.terms:
+        for term in self.g_terms.terms:
             if isinstance(term.op, deco.TensorWord) and term.op.is_identity:
                 value = 1.0 + 0.0j
             else:
@@ -345,146 +375,50 @@ class _SystemCostContext:
         report.append(TermReport("<b|A|psi>", linear, -abs(linear) ** 2))
         return float(np.real(square) - abs(linear) ** 2), report
 
-    def evaluate(self, ansatz, params, shots, seed) -> tuple[float, list[TermReport]]:
-        if shots is not None:
-            return self.energy(*self.circuit_terms(_BracketEngine(shots, seed), ansatz, params))
-        n, psi = self.a_terms.n, ansatz_state(ansatz, params)
-        return self.energy(
-            lambda op: np.vdot(self.b_vec, _apply_operator(op, n, psi)),
-            lambda op: np.vdot(psi, _apply_operator(op, n, psi)),
-        )
 
-    def cost(self, ansatz, params, shots, seed) -> float:
-        return self.evaluate(ansatz, params, shots, seed)[0]
+def make_linear_system_cost(problem: PoissonProblem, ansatz, shots=None, seed=0) -> Cost:
+    """The Poisson cost: A and G = A^2 from ``default_term_lists``, b = prepare_b."""
+    return Cost(*default_term_lists(problem), prepare_b(problem), ansatz, shots, seed)
 
 
-def _poisson_context(problem: PoissonProblem, term_lists=None) -> _SystemCostContext:
-    a_terms, a2_terms = term_lists if term_lists is not None else default_term_lists(problem)
-    return _SystemCostContext(a_terms, a2_terms, prepare_b(problem), problem.total_qubits)
-
-
-def _optimizer_cost(context, ansatz: AnsatzSpec, shots: int | None, seed: int):
-    """Cost callable for the optimizer; shot-mode seeds advance per call."""
-    calls = itertools.count(1)
-
-    def cost(params: np.ndarray) -> float:
-        return context.cost(ansatz, params, shots, seed + 7919 * next(calls))
-
-    return cost
-
-
-def cost_linear_system(
-    problem: PoissonProblem,
-    ansatz: AnsatzSpec,
-    params: np.ndarray,
-    shots: int | None = None,
-    seed: int = 0,
-    term_lists: tuple[deco.TermList, deco.TermList] | None = None,
-) -> tuple[float, list[TermReport]]:
-    """E(theta) = <psi|A^2|psi> - |<b|A|psi>|^2 from decomposition terms."""
-    if ansatz.num_qubits != problem.total_qubits:
-        raise DimensionMismatch(
-            f"ansatz acts on {ansatz.num_qubits} qubits, problem needs {problem.total_qubits}"
-        )
-    return _poisson_context(problem, term_lists).evaluate(ansatz, params, shots, seed)
-
-
-def _check_banded_width(spec: ToeplitzSpec, ansatz: AnsatzSpec) -> None:
-    num_qubits = spec.n.bit_length() - 1
-    if spec.n != 1 << num_qubits:
-        raise ValueError("matrix size must be a power of two")
-    if ansatz.num_qubits != num_qubits:
-        raise DimensionMismatch("ansatz width does not match the matrix size")
-
-
-def cost_toeplitz_system(
-    spec: ToeplitzSpec,
-    rhs: str | np.ndarray,
-    ansatz: AnsatzSpec,
-    params: np.ndarray,
-    shots: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Linear-system cost for a banded Toeplitz matrix.
-
-    The Gram part <psi|T^dag T|psi> runs through the autocorrelation band
-    minus corner projector corrections; the overlap part through T itself.
-    """
-    _check_banded_width(spec, ansatz)
-    return _toeplitz_system_context(spec, rhs).cost(ansatz, params, shots, seed)
-
-
-def _toeplitz_system_context(spec: ToeplitzSpec, rhs) -> _SystemCostContext:
-    if isinstance(rhs, str):
-        b_vec = np.full(spec.n, 1.0 / np.sqrt(spec.n), dtype=complex)
-    else:
-        b_vec = normalize(np.asarray(rhs, dtype=complex))
-    a_terms = deco.TermList(
+def _band_terms(spec: ToeplitzSpec) -> deco.TermList:
+    return deco.TermList(
         (deco.DecompositionTerm(1.0, spec),),
         n=spec.n, dimension=1, target="banded-system", bra_equals_ket=False,
     )
-    return _SystemCostContext(
-        a_terms, deco.decompose_banded_gram(spec), b_vec, spec.n.bit_length() - 1
+
+
+def make_toeplitz_system_cost(spec: ToeplitzSpec, b, ansatz, shots=None, seed=0) -> Cost:
+    """The banded-system cost: A = T, G = T^dag T as the autocorrelation band
+    minus corner projector corrections, b normalized."""
+    b_vec = normalize(np.asarray(b, dtype=complex))
+    return Cost(_band_terms(spec), deco.decompose_banded_gram(spec), b_vec, ansatz, shots, seed)
+
+
+def _matvec_scale(spec: ToeplitzSpec, v0) -> tuple[np.ndarray, float]:
+    """(normalized v0, ||T v0||)."""
+    v0 = normalize(np.asarray(v0, dtype=complex))
+    image_norm = np.linalg.norm(classical_toeplitz_matvec(spec, v0))
+    if image_norm <= 1e-12:
+        raise ZeroImage("T annihilates v0; the target state is undefined")
+    return v0, image_norm
+
+
+def make_matvec_cost(spec: ToeplitzSpec, v0, ansatz, shots=None, seed=0) -> Cost:
+    """E(theta) = 1 - |<psi|T_s|v0>|^2 with T_s = T/||T v0||: the cost with
+    A = T_s^dag, G = I and b = v0, since <v0|T_s^dag|psi> = conj(<psi|T_s|v0>)."""
+    v0, image_norm = _matvec_scale(spec, v0)
+    adjoint = ToeplitzSpec(spec.n, {-l: np.conj(t) / image_norm for l, t in spec.coeffs.items()})
+    identity = deco.TermList(
+        (deco.DecompositionTerm(1.0, deco.TensorWord(("I",))),), spec.n, 1, "identity"
     )
-
-
-class _MatvecContext:
-    """Theta-independent pieces of the matrix-vector cost."""
-
-    def __init__(self, spec: ToeplitzSpec, v0: np.ndarray):
-        self.v0 = normalize(np.asarray(v0, dtype=complex))
-        image_norm = np.linalg.norm(classical_toeplitz_matvec(spec, self.v0))
-        if image_norm <= 1e-12:
-            raise ZeroImage("T annihilates v0; the target state is undefined")
-        self.scaled = spec.scaled(1.0 / image_norm)
-        self.target = classical_toeplitz_matvec(self.scaled, self.v0)
-
-    @cached_property
-    def v0_emb(self) -> np.ndarray:
-        num_qubits = self.scaled.n.bit_length() - 1
-        return _embed_prep(circuit_unitary(_b_prep_circuit(self.v0, num_qubits)))
-
-    def circuit_overlap(self, engine: _BracketEngine, ansatz, params) -> complex:
-        psi_emb = _embed_prep(circuit_unitary(ansatz_circuit(ansatz, params)))
-        return engine.toeplitz_cross(self.scaled, psi_emb, self.v0_emb)
-
-    def cost(self, ansatz, params, shots, seed) -> float:
-        if shots is None:
-            overlap = np.vdot(ansatz_state(ansatz, params), self.target)
-        else:
-            overlap = self.circuit_overlap(_BracketEngine(shots, seed), ansatz, params)
-        return float(1.0 - abs(overlap) ** 2)
-
-
-def cost_matvec(
-    spec: ToeplitzSpec,
-    v0: np.ndarray,
-    ansatz: AnsatzSpec,
-    params: np.ndarray,
-    shots: int | None = None,
-    seed: int = 0,
-) -> float:
-    """E(theta) = 1 - |<psi| T/||T v0|| |v0>|^2."""
-    _check_banded_width(spec, ansatz)
-    return _MatvecContext(spec, v0).cost(ansatz, params, shots, seed)
+    return Cost(_band_terms(adjoint), identity, v0, ansatz, shots, seed)
 
 
 def matvec_target_state(spec: ToeplitzSpec, v0: np.ndarray) -> np.ndarray:
     """Classical normalized image T|v0>, the state the matvec cost selects."""
-    return _MatvecContext(spec, v0).target
-
-
-def make_linear_system_cost(problem, ansatz, shots=None, seed=0):
-    """Cost callable for the optimizer; shot-mode seeds advance per call."""
-    return _optimizer_cost(_poisson_context(problem), ansatz, shots, seed)
-
-
-def make_toeplitz_system_cost(spec, rhs, ansatz, shots=None, seed=0):
-    return _optimizer_cost(_toeplitz_system_context(spec, rhs), ansatz, shots, seed)
-
-
-def make_matvec_cost(spec, v0, ansatz, shots=None, seed=0):
-    return _optimizer_cost(_MatvecContext(spec, v0), ansatz, shots, seed)
+    v0, image_norm = _matvec_scale(spec, v0)
+    return classical_toeplitz_matvec(spec, v0) / image_norm
 
 
 def dense_hamiltonian(problem: PoissonProblem) -> np.ndarray:
@@ -512,7 +446,6 @@ class OptimizerConfig:
     max_iters: int = 2000
     restarts: int = 5
     seed: int = 0
-    shots: int | None = None  # informational; the cost callable owns sampling
     stall_window: int = 50
     stall_tol: float = 1e-8
 

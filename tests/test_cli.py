@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from vqtoeplitz.cli import main
 
 DIRICHLET = {
@@ -139,8 +141,38 @@ def test_toeplitz_band_guard(tmp_path, capsys):
     assert "guard" in capsys.readouterr().err
 
 
+def test_toeplitz_solve_gram_band_too_wide(tmp_path, capsys):
+    # K = 2 passes the band guard at n = 4, but T^dag T has band 2K = 4
+    config = write(tmp_path, "w.json", {"n": 4, "coeffs": {"0": 2, "2": 1}})
+    assert main(["toeplitz", "solve", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+
+
 def test_toeplitz_complex_band_rejected(tmp_path):
     config = write(
         tmp_path, "c.json", {"n": 4, "coeffs": {"0": "2+1j"}, "rhs": "uniform"}
     )
     assert main(["toeplitz", "solve", "--config", config, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "mode, key, value",
+    [
+        ("solve", "rhs", "foo"),
+        ("matvec", "v0", "bar"),
+        ("solve", "rhs", [1.0, 2.0, 3.0]),
+        ("matvec", "v0", [1.0, 0.0, 0.0, 0.0, 0.0]),
+        ("solve", "rhs", [0, 0, 0, 0]),
+        ("matvec", "v0", [0.0, 0.0, 0.0, 0.0]),
+    ],
+    ids=["rhs-string", "v0-string", "rhs-length", "v0-length", "rhs-zero", "v0-zero"],
+)
+def test_toeplitz_bad_vector(tmp_path, capsys, mode, key, value):
+    config = write(tmp_path, "v.json", {"n": 4, "coeffs": {"0": 2, "1": -1, "-1": -1}, key: value})
+    assert main(["toeplitz", mode, "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+
+
+def test_toeplitz_cap(tmp_path):
+    config = write(tmp_path, "big.json", {"n": 8192, "coeffs": {"0": 1.0}})
+    assert main(["toeplitz", "matvec", "--config", config, "--out", str(tmp_path / "o")]) == 3

@@ -15,7 +15,7 @@ from vqtoeplitz.circuits import (
     projector_expectation,
     state_prep_circuit,
 )
-from vqtoeplitz.linalg import basis_state, fidelity, normalize, random_state
+from vqtoeplitz.linalg import DimensionMismatch, basis_state, fidelity, normalize, random_state
 from vqtoeplitz.poisson import BoundaryCondition, PoissonProblem, prepare_b
 from vqtoeplitz.toeplitz import (
     ToeplitzSpec,
@@ -25,20 +25,18 @@ from vqtoeplitz.toeplitz import (
 )
 from vqtoeplitz.vqa import (
     AnsatzSpec,
+    Cost,
     LengthMismatch,
     OptimizerConfig,
     ZeroImage,
     _apply_operator,
     _BracketEngine,
-    _MatvecContext,
-    _SystemCostContext,
     ansatz_circuit,
     ansatz_state,
-    cost_linear_system,
-    cost_matvec,
-    cost_toeplitz_system,
     dense_hamiltonian,
     make_linear_system_cost,
+    make_matvec_cost,
+    make_toeplitz_system_cost,
     matvec_target_state,
     optimize,
     solution_fidelity,
@@ -103,9 +101,10 @@ def test_cost_matches_dense_hamiltonian(problem):
     rng = np.random.default_rng(14)
     ansatz = AnsatzSpec(problem.total_qubits, 2)
     h = dense_hamiltonian(problem)
+    cost = make_linear_system_cost(problem, ansatz)
     for _ in range(20):
         params = rng.uniform(0, 2 * np.pi, ansatz.param_count)
-        energy, report = cost_linear_system(problem, ansatz, params)
+        energy, report = cost.report(params)
         psi = ansatz_state(ansatz, params)
         expected = float(np.real(psi.conj() @ h @ psi))
         assert abs(energy - expected) <= 1e-10
@@ -116,7 +115,7 @@ def test_cost_matches_dense_hamiltonian(problem):
 def test_cost_report_contains_linear_bracket():
     problem = PoissonProblem(1, 3)
     ansatz = AnsatzSpec(3, 2)
-    _, report = cost_linear_system(problem, ansatz, np.zeros(6))
+    _, report = make_linear_system_cost(problem, ansatz).report(np.zeros(6))
     labels = [row.label for row in report]
     assert "<b|A|psi>" in labels
     assert any(label.startswith("band[") for label in labels)
@@ -130,7 +129,7 @@ def test_toeplitz_cost_identity_matrix():
     psi = ansatz_state(ansatz, params)
     b = np.full(8, 1 / np.sqrt(8))
     expected = 1.0 - abs(np.vdot(b, psi)) ** 2
-    assert cost_toeplitz_system(spec, "uniform", ansatz, params) == pytest.approx(
+    assert make_toeplitz_system_cost(spec, np.ones(8), ansatz)(params) == pytest.approx(
         expected, abs=1e-10
     )
 
@@ -140,10 +139,12 @@ def test_toeplitz_cost_reproduces_poisson_route():
     problem = PoissonProblem(1, 3)
     ansatz = AnsatzSpec(3, 2)
     rng = np.random.default_rng(8)
+    poisson_cost = make_linear_system_cost(problem, ansatz)
+    band_cost = make_toeplitz_system_cost(spec, np.ones(8), ansatz)
     for _ in range(5):
         params = rng.uniform(0, 2 * np.pi, 6)
-        via_poisson, _ = cost_linear_system(problem, ansatz, params)
-        via_band = cost_toeplitz_system(spec, "uniform", ansatz, params)
+        via_poisson = poisson_cost(params)
+        via_band = band_cost(params)
         assert via_band == pytest.approx(via_poisson, abs=1e-10)
 
 
@@ -159,7 +160,7 @@ def test_toeplitz_cost_random_banded_specs():
         params = rng.uniform(0, 2 * np.pi, 6)
         psi = ansatz_state(ansatz, params)
         expected = float(np.real(psi.conj() @ h @ psi))
-        assert cost_toeplitz_system(spec, b, ansatz, params) == pytest.approx(
+        assert make_toeplitz_system_cost(spec, b, ansatz)(params) == pytest.approx(
             expected, abs=1e-10
         )
 
@@ -167,11 +168,11 @@ def test_toeplitz_cost_random_banded_specs():
 def test_matvec_cost_identity_and_orthogonal():
     ansatz = AnsatzSpec(1, 1)
     spec = ToeplitzSpec(2, {0: 1.0})
-    v0 = np.array([1.0, 0.0])
+    cost = make_matvec_cost(spec, np.array([1.0, 0.0]), ansatz)
     # theta = 0 prepares |0> = v0 exactly: E = 0
-    assert cost_matvec(spec, v0, ansatz, [0.0]) == pytest.approx(0.0, abs=1e-12)
+    assert cost([0.0]) == pytest.approx(0.0, abs=1e-12)
     # theta = pi prepares |1>, orthogonal to T v0: E = 1
-    assert cost_matvec(spec, v0, ansatz, [np.pi]) == pytest.approx(1.0, abs=1e-12)
+    assert cost([np.pi]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_matvec_cost_matches_dense_overlap():
@@ -185,7 +186,7 @@ def test_matvec_cost_matches_dense_overlap():
         params = rng.uniform(0, 2 * np.pi, ansatz.param_count)
         psi = ansatz_state(ansatz, params)
         expected = 1.0 - fidelity(psi, target) ** 2
-        assert cost_matvec(spec, v0, ansatz, params) == pytest.approx(expected, abs=1e-10)
+        assert make_matvec_cost(spec, v0, ansatz)(params) == pytest.approx(expected, abs=1e-10)
 
 
 def test_bracket_engine_same_state_asymmetric_band():
@@ -209,7 +210,7 @@ def test_bracket_engine_same_state_asymmetric_band():
 def test_matvec_zero_image():
     spec = ToeplitzSpec(8, {1: 1.0})  # pure subdiagonal annihilates |n-1>
     with pytest.raises(ZeroImage):
-        cost_matvec(spec, basis_state(3, 7), AnsatzSpec(3, 2), np.zeros(6))
+        make_matvec_cost(spec, basis_state(3, 7), AnsatzSpec(3, 2))
     with pytest.raises(ZeroImage):
         matvec_target_state(spec, basis_state(3, 7))
 
@@ -231,11 +232,11 @@ def test_shot_mode_cost_converges_near_optimum():
     ansatz = AnsatzSpec(3, 2)
     cost = make_linear_system_cost(problem, ansatz)
     trace = optimize(cost, ansatz, OptimizerConfig(restarts=2, seed=4, max_iters=600))
-    exact, _ = cost_linear_system(problem, ansatz, trace.best_params)
+    exact = cost(trace.best_params)
     misses = 0
     for trial in range(40):
-        sampled, _ = cost_linear_system(
-            problem, ansatz, trace.best_params, shots=10**6, seed=1000 + trial
+        sampled = make_linear_system_cost(problem, ansatz, shots=10**6, seed=1000 + trial)(
+            trace.best_params
         )
         if abs(sampled - exact) > 0.01:
             misses += 1
@@ -251,7 +252,7 @@ def test_shot_mode_constant_negative_rhs():
     params = np.array([9.4216, 3.8033, 1.4838, 4.7156, 2.2538, 0.1736])
     psi = ansatz_state(ansatz, params)
     expected = float(np.real(psi.conj() @ dense_hamiltonian(problem) @ psi))
-    sampled, _ = cost_linear_system(problem, ansatz, params, shots=10**6, seed=0)
+    sampled = make_linear_system_cost(problem, ansatz, shots=10**6, seed=0)(params)
     assert abs(sampled - expected) < 0.01
 
 
@@ -266,12 +267,18 @@ def _gram_term_lists(spec):
     return a_terms, deco.decompose_banded_gram(spec)
 
 
+def _matvec_term_lists(spec, v0):
+    cost = make_matvec_cost(spec, v0, AnsatzSpec(spec.n.bit_length() - 1, 1))
+    return cost.a_terms, cost.g_terms
+
+
 ENGINE_FAMILIES = {
     "dirichlet-1d": deco.decompose_dirichlet_1d(8),
     "unified-1d": deco.decompose_unified_1d(8, 0.35, 0.65),
     "words-2d": (deco.decompose_dirichlet_dd(2, 4), deco.decompose_dirichlet_dd_squared(2, 4)),
     "words-3d": (deco.decompose_dirichlet_dd(3, 4), deco.decompose_dirichlet_dd_squared(3, 4)),
     "banded-gram": _gram_term_lists(ToeplitzSpec(8, {-2: 0.7, -1: -1.3, 0: 2.1, 1: 0.4, 2: -0.9})),
+    "matvec": _matvec_term_lists(ToeplitzSpec(8, {-1: 0.5, 0: 1.7, 2: -1.1}), np.linspace(-1, 2, 8)),
 }
 
 
@@ -333,26 +340,15 @@ def test_exact_cost_matches_circuit_engine(family):
     num_qubits = a_terms.total_dim.bit_length() - 1
     ansatz = AnsatzSpec(num_qubits, 2)
     b = normalize(rng.standard_normal(a_terms.total_dim))
-    context = _SystemCostContext(a_terms, a2_terms, b, num_qubits)
+    cost = Cost(a_terms, a2_terms, b, ansatz)
     for _ in range(2):
         params = rng.uniform(0, 2 * np.pi, ansatz.param_count)
-        energy, report = context.evaluate(ansatz, params, None, 0)
-        cross, same = context.circuit_terms(_BracketEngine(None, 0), ansatz, params)
-        ref_energy, ref_report = context.energy(cross, same)
+        energy, report = cost.report(params)
+        ref_energy, ref_report = cost._energy(*cost._circuit_terms(_BracketEngine(None, 0), params))
         assert abs(energy - ref_energy) <= 1e-10
         assert [row.label for row in report] == [row.label for row in ref_report]
         for row, ref in zip(report, ref_report):
             assert abs(row.value - ref.value) <= 1e-10
-
-
-def test_exact_matvec_cost_matches_circuit_engine():
-    rng = np.random.default_rng(73)
-    ansatz = AnsatzSpec(3, 3)
-    context = _MatvecContext(ToeplitzSpec(8, {-1: 0.5, 0: 1.7, 2: -1.1}), rng.standard_normal(8))
-    for _ in range(5):
-        params = rng.uniform(0, 2 * np.pi, ansatz.param_count)
-        overlap = context.circuit_overlap(_BracketEngine(None, 0), ansatz, params)
-        assert context.cost(ansatz, params, None, 0) == pytest.approx(1 - abs(overlap) ** 2, abs=1e-10)
 
 
 def test_exact_cost_rejects_unmeasurable_projector():
@@ -361,8 +357,41 @@ def test_exact_cost_rejects_unmeasurable_projector():
     triple = deco.ProjectorPair(((0, 0), (1, 1), (2, 2)))
     a2_terms = deco.TermList((deco.DecompositionTerm(1.0, triple),), 8, 1, "triple")
     with pytest.raises(UnsupportedPattern):
-        cost_linear_system(PoissonProblem(1, 3), AnsatzSpec(3, 1), np.zeros(3),
-                           term_lists=(a_terms, a2_terms))
+        Cost(a_terms, a2_terms, prepare_b(PoissonProblem(1, 3)), AnsatzSpec(3, 1))
+
+
+def test_cost_seed_policy():
+    # the k-th evaluation of a Cost, __call__ and report alike, samples with seed + 7919*k
+    problem = PoissonProblem(1, 3, BoundaryCondition.unified(1.0, 2.0, 3.0, 1.0))
+    ansatz = AnsatzSpec(3, 2)
+    rng = np.random.default_rng(75)
+    points = [rng.uniform(0, 2 * np.pi, ansatz.param_count) for _ in range(4)]
+
+    def fresh(seed=11):
+        return make_linear_system_cost(problem, ansatz, shots=1000, seed=seed)
+
+    probe = fresh()
+    one_shot = probe._energy(*probe._circuit_terms(_BracketEngine(1000, 11), points[0]))[0]
+    assert fresh()(points[0]) == one_shot
+    first, second = fresh(), fresh()
+    assert [first(p) for p in points] == [second(p) for p in points]
+    assert fresh().report(points[0])[0] == fresh()(points[0])
+    stepped = fresh()
+    stepped.report(points[0])
+    assert stepped(points[1]) == fresh(11 + 7919)(points[1])
+    repeated = fresh()
+    assert repeated(points[2]) != repeated(points[2])
+
+
+def test_cost_rejects_mismatched_sizes():
+    a_terms, a2_terms = deco.decompose_dirichlet_1d(8)
+    b = prepare_b(PoissonProblem(1, 3))
+    with pytest.raises(DimensionMismatch):
+        Cost(a_terms, a2_terms, b, AnsatzSpec(2, 1))
+    with pytest.raises(DimensionMismatch):
+        Cost(a_terms, a2_terms, np.ones(4) / 2, AnsatzSpec(2, 1))
+    with pytest.raises(ValueError, match="power of two"):
+        make_toeplitz_system_cost(ToeplitzSpec(6, TRIDIAG), np.ones(6), AnsatzSpec(3, 1))
 
 
 # ---------------------------------------------------------------------------
