@@ -1,7 +1,8 @@
 """Gate-level circuits and exact/sampled statevector simulation.
 
-The cost uses these circuits as its shot sampler; run exactly, they are the
-reference its statevector engine (``vqa``) is tested against.
+These circuits are the reference the cost (``vqa``) is tested against: run
+exactly, for its statevector terms; sampled, for the distribution of its
+shot-mode draws.
 
 Bit order: qubit 0 is the least significant bit of the basis-state index,
 so bitstrings print qubit (n-1) first.  Every circuit's dense realization

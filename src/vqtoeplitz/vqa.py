@@ -13,13 +13,16 @@ T_s = T/||T v0||, and b = v0:
 
 which vanishes exactly when |psi> matches the normalized image T|v0>.
 
-Exact mode prepares the ansatz statevector once per evaluation and takes
-each term as the inner product np.vdot(left, apply(op, right)) that a
-Hadamard test's ancilla bias estimates.  Shot mode samples the gate-level
-circuits: banded parts through their circulant embedding (one extra
-register qubit plus the test ancilla), projector pairs through
-basis-change probability circuits, tensor words through controlled-block
-Hadamard tests.
+Both modes prepare the ansatz statevector once per evaluation.  Exact
+mode takes each term as the inner product np.vdot(left, apply(op, right))
+that a Hadamard test's ancilla bias estimates.  Shot mode draws each
+estimation the gate-level circuits (``circuits``) would make from its
+exact probability: the ancilla of a Hadamard test of x = Re z or Im z reads
+0 with probability (1 + x)/2, a projector circuit reads all zeros with
+probability |<prep|psi>|^2, and each is a Binomial(shots, p) draw.  The
+units are the circuits': one bracket per shift power of a band's circulant
+embedding, one per distinct amplitude of a projector pair's cross term,
+one per tensor word, one probability per projector preparation circuit.
 """
 
 from __future__ import annotations
@@ -27,25 +30,13 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 import scipy.optimize
 
 from . import decomposition as deco
-from .circuits import (
-    Circuit,
-    basis_prep_circuit,
-    bell_pair_circuits,
-    bracket,
-    circuit_unitary,
-    controlled_Ll_circuit,
-    controlled_word_circuit,
-    projector_expectation,
-    run_statevector,
-    state_prep_circuit,
-    uniform_prep_circuit,
-)
+from .circuits import Circuit, ShotCountZero, bell_pair_circuits, run_statevector
 from .linalg import DimensionMismatch, dense_solve, fidelity, normalize
 from .poisson import PoissonProblem, build_poisson_1d, build_poisson_dd, prepare_b
 from .toeplitz import (
@@ -126,7 +117,7 @@ def ansatz_state(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exact engine: statevector inner products
+# statevector engine: op|v> per decomposition descriptor
 
 
 @lru_cache(maxsize=None)
@@ -149,17 +140,7 @@ def _apply_operator(op: deco.Operator, n: int, v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# circuit engine: shot sampling, and with shots=None the gate-level reference
-
-
-@lru_cache(maxsize=None)
-def _cached_shift_circuit(n: int, power: int) -> Circuit:
-    # Collapse the theta-independent controlled-shift circuit to a single
-    # block gate; the unitary is identical and the simulator applies it in
-    # one step instead of ~40.
-    structured = controlled_Ll_circuit(n, power)
-    collapsed = Circuit(structured.num_qubits)
-    return collapsed.block(tuple(range(structured.num_qubits)), circuit_unitary(structured))
+# cost functions
 
 
 @dataclass
@@ -167,91 +148,6 @@ class TermReport:
     label: str
     value: complex
     contribution: complex
-
-
-def _embed_prep(unitary: np.ndarray) -> np.ndarray:
-    """Lift a system preparation to the doubled register (extra top qubit idle)."""
-    return np.kron(np.eye(2, dtype=complex), unitary)
-
-
-class _BracketEngine:
-    """Evaluates individual decomposition terms as circuit estimates."""
-
-    def __init__(self, shots: int | None, seed: int):
-        self.shots = shots
-        self._seed = int(seed)
-        self._counter = 0
-
-    def _draw(self, k: int = 2) -> int:
-        base = self._seed + 104729 * self._counter
-        self._counter += k
-        return base
-
-    def complex_bracket(self, n_system, controlled, left, right) -> complex:
-        return bracket(n_system, controlled, left, right, self.shots, self._draw())
-
-    def toeplitz_cross(self, spec: ToeplitzSpec, left_emb, right_emb) -> complex:
-        """<left|T|right> via the embedded circulant, distinct states."""
-        two_n = 2 * spec.n
-        qubits = two_n.bit_length() - 1
-        total = 0.0 + 0.0j
-        for coeff, power in circulant_expectation_terms(embed_in_circulant(spec)):
-            controlled = _cached_shift_circuit(two_n, power % two_n)
-            total += coeff * self.complex_bracket(qubits, controlled, left_emb, right_emb)
-        return total
-
-    def toeplitz_same(self, spec: ToeplitzSpec, prep_emb) -> complex:
-        """<psi|T|psi>: opposite shifts fold onto complex conjugates."""
-        two_n = 2 * spec.n
-        qubits = two_n.bit_length() - 1
-        by_power = dict()
-        for coeff, power in circulant_expectation_terms(embed_in_circulant(spec)):
-            by_power[power] = coeff
-        total = complex(by_power.get(0, 0.0))
-        for power in sorted(p for p in by_power if p > 0):
-            controlled = _cached_shift_circuit(two_n, power)
-            z = self.complex_bracket(qubits, controlled, prep_emb, prep_emb)
-            total += by_power[power] * z + by_power.get(-power, 0.0) * np.conj(z)
-        for power in sorted(p for p in by_power if p < 0):
-            if -power not in by_power:  # unpaired negative offset
-                controlled = _cached_shift_circuit(two_n, -power)
-                z = self.complex_bracket(qubits, controlled, prep_emb, prep_emb)
-                total += by_power[power] * np.conj(z)
-        return total
-
-    def word_bracket(self, word: deco.TensorWord, n: int, n_system: int, left, right) -> complex:
-        if word.is_identity:
-            controlled = Circuit(n_system + 1)
-        else:
-            controlled = controlled_word_circuit(n_system, _cached_word_unitary(word.letters, n))
-        return self.complex_bracket(n_system, controlled, left, right)
-
-    def projector_same(self, pp: deco.ProjectorPair, psi_state: np.ndarray) -> float:
-        return projector_expectation(pp, psi_state, self.shots, self._draw(4))
-
-    def projector_cross(self, pp: deco.ProjectorPair, b_vec, n_system, right) -> complex:
-        """<b|M|psi> for a projector pair: classically known b amplitudes
-        weight single-amplitude brackets <j|psi>."""
-        total = 0.0 + 0.0j
-        identity = Circuit(n_system + 1)
-        amp_cache: dict[int, complex] = {}
-
-        def amp(j: int) -> complex:
-            if j not in amp_cache:
-                amp_cache[j] = self.complex_bracket(
-                    n_system, identity, basis_prep_circuit(n_system, j), right
-                )
-            return amp_cache[j]
-
-        for i, j in pp.pairs:
-            total += np.conj(b_vec[i]) * amp(j)
-            if pp.symmetrize and i != j:
-                total += np.conj(b_vec[j]) * amp(i)
-        return total
-
-
-# ---------------------------------------------------------------------------
-# cost functions
 
 
 def default_term_lists(problem: PoissonProblem) -> tuple[deco.TermList, deco.TermList]:
@@ -267,14 +163,6 @@ def default_term_lists(problem: PoissonProblem) -> tuple[deco.TermList, deco.Ter
         deco.decompose_dirichlet_dd(problem.dimension, problem.n),
         deco.decompose_dirichlet_dd_squared(problem.dimension, problem.n),
     )
-
-
-def _b_prep_circuit(b_vec: np.ndarray, num_qubits: int) -> Circuit:
-    # H^{otimes N} prepares the constant *positive* state only; any other b,
-    # a constant negative one included, is prepared from its amplitudes.
-    if np.allclose(b_vec, 1.0 / np.sqrt(b_vec.size)):
-        return uniform_prep_circuit(num_qubits)
-    return state_prep_circuit(b_vec)
 
 
 def _label(op: deco.Operator) -> str:
@@ -303,10 +191,18 @@ class Cost:
                 f"ansatz acts on {ansatz.num_qubits} qubits, the operator on {a_terms.total_dim}"
                 f" amplitudes and b has {b.size}"
             )
-        # Exact mode measures nothing the shot circuits could not.
-        for term in g_terms.terms:
-            if isinstance(term.op, deco.ProjectorPair):
-                bell_pair_circuits(term.op, num_qubits)
+        if shots is not None and shots < 1:
+            raise ShotCountZero("shots must be >= 1")
+        # Exact mode measures nothing the shot circuits could not; shot mode
+        # reads each preparation's probability against the state it prepares.
+        self._bell_states = {
+            term.op: [
+                (run_statevector(prep), sign)
+                for prep, sign in bell_pair_circuits(term.op, num_qubits)
+            ]
+            for term in g_terms.terms
+            if isinstance(term.op, deco.ProjectorPair)
+        }
         self.a_terms, self.g_terms, self.b = a_terms, g_terms, b
         self.ansatz, self.shots, self.seed = ansatz, shots, int(seed)
         self._evals = itertools.count()
@@ -317,39 +213,64 @@ class Cost:
     def report(self, params: np.ndarray) -> tuple[float, list[TermReport]]:
         """The cost and one report row per term, the overlap <b|A|psi> last."""
         seed = self.seed + 7919 * next(self._evals)
-        if self.shots is not None:
-            return self._energy(*self._circuit_terms(_BracketEngine(self.shots, seed), params))
         n, psi = self.a_terms.n, ansatz_state(self.ansatz, params)
-        return self._energy(
-            lambda op: np.vdot(self.b, _apply_operator(op, n, psi)),
-            lambda op: np.vdot(psi, _apply_operator(op, n, psi)),
-        )
+        if self.shots is None:
+            return self._energy(
+                lambda op: np.vdot(self.b, _apply_operator(op, n, psi)),
+                lambda op: np.vdot(psi, _apply_operator(op, n, psi)),
+            )
+        rng = np.random.default_rng(seed)
+        shots = self.shots
+        return self._sampled(psi, lambda p: rng.binomial(shots, np.clip(p, 0.0, 1.0)) / shots)
 
-    @cached_property
-    def _b_u(self) -> np.ndarray:
-        return circuit_unitary(_b_prep_circuit(self.b, self.ansatz.num_qubits))
+    def _sampled(self, psi: np.ndarray, draw) -> tuple[float, list[TermReport]]:
+        """``_energy`` with each circuit estimation drawn as draw(p), the
+        estimated probability of an outcome whose exact probability is p."""
+        n, b = self.a_terms.n, self.b
+        pad = np.zeros_like(psi)
+        b_pad, psi_pad = np.concatenate([b, pad]), np.concatenate([psi, pad])
 
-    def _circuit_terms(self, engine: _BracketEngine, params):
-        """(cross, same) for ``_energy`` as circuit estimates from ``engine``."""
-        n, n_system, b_u = self.a_terms.n, self.ansatz.num_qubits, self._b_u
-        psi_u = circuit_unitary(ansatz_circuit(self.ansatz, params))
-        b_emb, psi_emb = _embed_prep(b_u), _embed_prep(psi_u)
+        def test(z: complex) -> complex:
+            """Hadamard tests of Re z and Im z: ancilla bias 2 p0 - 1."""
+            re, im = (2.0 * draw((1.0 + x) / 2.0) - 1.0 for x in (z.real, z.imag))
+            return complex(re, im)
+
+        def shift(left: np.ndarray, power: int) -> complex:
+            """<left|L^power|psi> on the zero-padded circulant register."""
+            return test(np.vdot(left, np.roll(psi_pad, power)))
+
+        def shift_terms(spec: ToeplitzSpec) -> list[tuple[complex, int]]:
+            return circulant_expectation_terms(embed_in_circulant(spec))
 
         def cross(op: deco.Operator) -> complex:
             if isinstance(op, ToeplitzSpec):
-                return engine.toeplitz_cross(op, b_emb, psi_emb)
+                return sum(coeff * shift(b_pad, power) for coeff, power in shift_terms(op))
             if isinstance(op, deco.ProjectorPair):
-                return engine.projector_cross(op, self.b, n_system, psi_u)
-            return engine.word_bracket(op, n, n_system, b_u, psi_u)
+                amp = cache(lambda j: test(psi[j]))  # <j|psi>, one bracket per amplitude
+                total = 0.0 + 0.0j
+                for i, j in op.pairs:
+                    total += np.conj(b[i]) * amp(j)
+                    if op.symmetrize and i != j:
+                        total += np.conj(b[j]) * amp(i)
+                return total
+            return test(np.vdot(b, _apply_operator(op, n, psi)))
 
         def same(op: deco.Operator) -> complex:
             if isinstance(op, ToeplitzSpec):
-                return engine.toeplitz_same(op, psi_emb)
+                # <psi|L^-p|psi> = conj<psi|L^p|psi>: one bracket per |power|
+                by_power = {power: coeff for coeff, power in shift_terms(op)}
+                total = complex(by_power.get(0, 0.0))
+                for power in sorted({abs(p) for p in by_power} - {0}):
+                    z = shift(psi_pad, power)
+                    total += by_power.get(power, 0.0) * z + by_power.get(-power, 0.0) * np.conj(z)
+                return total
             if isinstance(op, deco.ProjectorPair):
-                return complex(engine.projector_same(op, psi_u[:, 0]))
-            return engine.word_bracket(op, n, n_system, psi_u, psi_u)
+                # one all-zeros probability |<prep|psi>|^2 per preparation circuit
+                states = self._bell_states[op]
+                return complex(sum(sign * draw(abs(np.vdot(st, psi)) ** 2) for st, sign in states))
+            return test(np.vdot(psi, _apply_operator(op, n, psi)))
 
-        return cross, same
+        return self._energy(cross, same)
 
     def _energy(self, cross, same) -> tuple[float, list[TermReport]]:
         """<psi|G|psi> - |<b|A|psi>|^2 from the term values cross(op) =
@@ -490,7 +411,9 @@ class _StallStop(Exception):
     pass
 
 
-def _spsa_minimize(cost, x0, max_iters, rng, record):
+def _spsa_minimize(cost, x0, max_iters, rng):
+    """SPSA steps, two evaluations each; ``optimize``'s wrapped cost stops
+    them after max_iters evaluations or a stall."""
     x = np.array(x0, dtype=float)
     a, c, big_a, alpha, gamma = 0.2, 0.15, 0.1 * max_iters, 0.602, 0.101
     for k in range(max_iters):
@@ -499,11 +422,7 @@ def _spsa_minimize(cost, x0, max_iters, rng, record):
         delta = rng.choice([-1.0, 1.0], size=x.shape)
         plus = cost(x + ck * delta)
         minus = cost(x - ck * delta)
-        record(x + ck * delta, plus)
-        record(x - ck * delta, minus)
         x -= ak * (plus - minus) / (2 * ck) * delta
-    record(x, cost(x))
-    return x
 
 
 def optimize(
@@ -556,8 +475,8 @@ def optimize(
                 raise _StallStop
             return value
 
-        if config.method == "nelder-mead":
-            try:
+        try:
+            if config.method == "nelder-mead":
                 scipy.optimize.minimize(
                     wrapped,
                     x0,
@@ -569,10 +488,10 @@ def optimize(
                         "fatol": 1e-14,
                     },
                 )
-            except _StallStop:
-                pass
-        else:
-            _spsa_minimize(cost, x0, config.max_iters, rng, record)
+            else:
+                _spsa_minimize(wrapped, x0, config.max_iters, rng)
+        except _StallStop:
+            pass
 
         if state["best"] < trace.best_cost:
             trace.best_cost = float(state["best"])

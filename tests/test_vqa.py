@@ -1,11 +1,14 @@
 """Ansatz, cost assembly vs dense oracle, optimizer behavior."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from vqtoeplitz import decomposition as deco
 from vqtoeplitz.circuits import (
     Circuit,
+    ShotCountZero,
     UnsupportedPattern,
     basis_prep_circuit,
     circuit_unitary,
@@ -30,7 +33,6 @@ from vqtoeplitz.vqa import (
     OptimizerConfig,
     ZeroImage,
     _apply_operator,
-    _BracketEngine,
     ansatz_circuit,
     ansatz_state,
     dense_hamiltonian,
@@ -190,21 +192,17 @@ def test_matvec_cost_matches_dense_overlap():
 
 
 def test_bracket_engine_same_state_asymmetric_band():
-    # unpaired offsets fall back to conjugated positive-power brackets
-    from vqtoeplitz.circuits import circuit_unitary, state_prep_circuit
-    from vqtoeplitz.toeplitz import toeplitz_to_dense
-    from vqtoeplitz.vqa import _BracketEngine, _embed_prep
-    from vqtoeplitz.linalg import random_state
-
+    # shot mode: unpaired offsets fall back to conjugated positive-power brackets
     rng = np.random.default_rng(19)
-    engine = _BracketEngine(None, 0)
     for coeffs in ({1: 2.0}, {-1: 3.0}, {-2: 1.0, 0: 1.5, 1: -0.5}):
         spec = ToeplitzSpec(8, coeffs)
+        band = deco.TermList((deco.DecompositionTerm(1.0, spec),), 8, 1, "band")
         psi = random_state(3, rng)
-        prep = _embed_prep(circuit_unitary(state_prep_circuit(psi)))
-        value = engine.toeplitz_same(spec, prep)
-        expected = psi.conj() @ toeplitz_to_dense(spec) @ psi
-        assert abs(value - expected) <= 1e-10
+        cost = Cost(band, band, random_state(3, rng), AnsatzSpec(3, 1), shots=1000)
+        _, (cross, same, _) = cost._sampled(psi, lambda p: p)
+        dense = toeplitz_to_dense(spec)
+        assert abs(same.value - psi.conj() @ dense @ psi) <= 1e-10
+        assert abs(cross.value - cost.b.conj() @ dense @ psi) <= 1e-10
 
 
 def test_matvec_zero_image():
@@ -282,13 +280,18 @@ ENGINE_FAMILIES = {
 }
 
 
-def _gate_bracket(op, n, left, right) -> complex:
-    """<left|op|right> from Hadamard tests (real + imag) on the paper's circuits."""
+def _gate_bracket(op, n, left, right, shots=None, seeds=None) -> complex:
+    """<left|op|right> from Hadamard tests (real + imag) on the paper's circuits;
+    with ``shots`` each test samples with the next seed from ``seeds``."""
     num_qubits = left.shape[0].bit_length() - 1
 
     def test(controlled, n_system, left_u, right_u):
-        re = hadamard_test(n_system, controlled, left_u, right_u, "real")
-        return complex(re, hadamard_test(n_system, controlled, left_u, right_u, "imag"))
+        re, im = (
+            hadamard_test(n_system, controlled, left_u, right_u, part, shots,
+                          next(seeds) if shots else 0)
+            for part in ("real", "imag")
+        )
+        return complex(re, im)
 
     def prep(state):
         return circuit_unitary(state_prep_circuit(state))
@@ -335,20 +338,33 @@ def test_engine_brackets_match_gate_level_circuits(family):
 
 @pytest.mark.parametrize("family", list(ENGINE_FAMILIES))
 def test_exact_cost_matches_circuit_engine(family):
+    # exact mode, the gate-level circuits, and shot mode with each estimation
+    # drawn as its exact probability all give the same report
     rng = np.random.default_rng(72)
     a_terms, a2_terms = ENGINE_FAMILIES[family]
-    num_qubits = a_terms.total_dim.bit_length() - 1
+    n, num_qubits = a_terms.n, a_terms.total_dim.bit_length() - 1
     ansatz = AnsatzSpec(num_qubits, 2)
     b = normalize(rng.standard_normal(a_terms.total_dim))
     cost = Cost(a_terms, a2_terms, b, ansatz)
+    shot = Cost(a_terms, a2_terms, b, ansatz, shots=1000)
     for _ in range(2):
         params = rng.uniform(0, 2 * np.pi, ansatz.param_count)
         energy, report = cost.report(params)
-        ref_energy, ref_report = cost._energy(*cost._circuit_terms(_BracketEngine(None, 0), params))
-        assert abs(energy - ref_energy) <= 1e-10
-        assert [row.label for row in report] == [row.label for row in ref_report]
-        for row, ref in zip(report, ref_report):
-            assert abs(row.value - ref.value) <= 1e-10
+        psi = ansatz_state(ansatz, params)
+        circuit_report = cost._energy(
+            lambda op: _gate_bracket(op, n, b, psi),
+            lambda op: (
+                projector_expectation(op, psi)
+                if isinstance(op, deco.ProjectorPair)
+                else _gate_bracket(op, n, psi, psi)
+            ),
+        )
+        for ref_energy, ref_report in (circuit_report, shot._sampled(psi, lambda p: p)):
+            assert abs(energy - ref_energy) <= 1e-10
+            assert [row.label for row in report] == [row.label for row in ref_report]
+            for row, ref in zip(report, ref_report):
+                assert abs(row.value - ref.value) <= 1e-10
+                assert abs(row.contribution - ref.contribution) <= 1e-10
 
 
 def test_exact_cost_rejects_unmeasurable_projector():
@@ -370,9 +386,6 @@ def test_cost_seed_policy():
     def fresh(seed=11):
         return make_linear_system_cost(problem, ansatz, shots=1000, seed=seed)
 
-    probe = fresh()
-    one_shot = probe._energy(*probe._circuit_terms(_BracketEngine(1000, 11), points[0]))[0]
-    assert fresh()(points[0]) == one_shot
     first, second = fresh(), fresh()
     assert [first(p) for p in points] == [second(p) for p in points]
     assert fresh().report(points[0])[0] == fresh()(points[0])
@@ -381,6 +394,91 @@ def test_cost_seed_policy():
     assert stepped(points[1]) == fresh(11 + 7919)(points[1])
     repeated = fresh()
     assert repeated(points[2]) != repeated(points[2])
+
+
+def test_shot_mode_rejects_zero_shots():
+    with pytest.raises(ShotCountZero):
+        make_linear_system_cost(PoissonProblem(1, 3), AnsatzSpec(3, 1), shots=0)
+
+
+def test_shot_mode_at_twelve_qubits():
+    # the largest register the CLI admits; shot mode works on the 2^12 statevector
+    problem = PoissonProblem(1, 12)
+    ansatz = AnsatzSpec(12, 1)
+    params = np.random.default_rng(76).uniform(0, 2 * np.pi, ansatz.param_count)
+    assert np.isfinite(make_linear_system_cost(problem, ansatz, shots=100, seed=3)(params))
+    exact = make_linear_system_cost(problem, ansatz)(params)
+    shot = make_linear_system_cost(problem, ansatz, shots=100)
+    drawn, _ = shot._sampled(ansatz_state(ansatz, params), lambda p: p)
+    assert abs(drawn - exact) <= 1e-10
+
+
+UNIFIED = BoundaryCondition.unified(1.0, 2.0, 3.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "problems",
+    [
+        [PoissonProblem(1, q) for q in (3, 4, 5, 6)],
+        [PoissonProblem(1, q, UNIFIED) for q in (3, 4, 5, 6)],
+        [PoissonProblem(2, q) for q in (2, 3)],
+        [PoissonProblem(3, q) for q in (1, 2)],
+    ],
+    ids=["dirichlet-1d", "unified-1d", "dirichlet-2d", "dirichlet-3d"],
+)
+def test_shot_estimations_independent_of_n(problems):
+    # the paper's claim, on what shot mode executes: the number of sampled
+    # estimations per evaluation does not grow with the grid
+    counts = []
+    for problem in problems:
+        ansatz = AnsatzSpec(problem.total_qubits, 1)
+        cost = make_linear_system_cost(problem, ansatz, shots=100)
+        draws = []
+
+        def draw(p):
+            draws.append(p)
+            return p
+
+        cost._sampled(ansatz_state(ansatz, np.full(ansatz.param_count, 0.3)), draw)
+        counts.append(len(draws))
+    assert counts == [counts[0]] * len(problems)
+
+
+def test_shot_distribution_matches_gate_level_sampling():
+    # Shot mode draws each ancilla from the statevector; the gate-level
+    # circuits sample their whole register.  Same estimator, same spread.
+    problem = PoissonProblem(1, 3, UNIFIED)  # band terms and projector pairs
+    ansatz = AnsatzSpec(3, 2)
+    params = np.random.default_rng(77).uniform(0, 2 * np.pi, ansatz.param_count)
+    psi, n, shots, trials = ansatz_state(ansatz, params), problem.n, 1000, 400
+    cost = make_linear_system_cost(problem, ansatz, shots=shots, seed=0)
+    exact = make_linear_system_cost(problem, ansatz)(params)
+
+    def gate_level(seeds):
+        def same(op):
+            if isinstance(op, deco.ProjectorPair):
+                return projector_expectation(op, psi, shots, next(seeds))
+            # opposite shift powers fold onto conjugates: one bracket per |power|
+            total = complex(op.coeffs.get(0, 0.0))
+            for power in sorted({abs(l) for l in op.coeffs} - {0}):
+                z = _gate_bracket(ToeplitzSpec(n, {power: 1.0}), n, psi, psi, shots, seeds)
+                total += op.coeffs.get(power, 0.0) * z + op.coeffs.get(-power, 0.0) * np.conj(z)
+            return total
+
+        return cost._energy(lambda op: _gate_bracket(op, n, cost.b, psi, shots, seeds), same)[0]
+
+    engine = np.array([cost(params) for _ in range(trials)])
+    # step 4: a projector circuit pair samples with seed and seed + 1
+    circuits = np.array([gate_level(itertools.count(10**4 * t, 4)) for t in range(trials)])
+    # Both estimate |<b|A|psi>|^2 with a bias of -Var<b|A|psi>, here about
+    # 1.6 standard errors of the mean of 400.
+    for sample in (engine, circuits):
+        assert abs(sample.mean() - exact) <= 5 * sample.std(ddof=1) / np.sqrt(trials)
+    # For two independent normal samples of 400 the variance ratio is
+    # F(399, 399): a ratio of deviations outside [0.8, 1.25] has probability
+    # 9e-6 (the false-failure rate of this bound).
+    ratio = engine.std(ddof=1) / circuits.std(ddof=1)
+    assert 0.8 <= ratio <= 1.25
 
 
 def test_cost_rejects_mismatched_sizes():
@@ -457,6 +555,23 @@ def test_spsa_on_quadratic():
     config = OptimizerConfig(method="spsa", restarts=2, seed=5, max_iters=400)
     trace = optimize(lambda p: (p[0] - 2.0) ** 2 + 0.5, spec, config)
     assert trace.best_cost <= 0.51
+
+
+def test_spsa_counts_evaluations_and_stalls_out():
+    # max_iters caps evaluations and stall_window stops SPSA, as for Nelder-Mead
+    spec = AnsatzSpec(1, 1)
+    calls = []
+
+    def quadratic(p):
+        calls.append(p)
+        return (p[0] - 2.0) ** 2 + 0.5
+
+    config = OptimizerConfig(method="spsa", restarts=1, seed=5, max_iters=100)
+    trace = optimize(quadratic, spec, config)
+    assert len(calls) == len(trace.records) <= config.max_iters
+    config = OptimizerConfig(method="spsa", restarts=1, seed=0)
+    trace = optimize(lambda p: 1.0, spec, config)
+    assert len(trace.records) <= config.stall_window + 2
 
 
 def test_solution_fidelity_matches_manual():
