@@ -29,6 +29,7 @@ from .poisson import (
     UnsupportedProblem,
     WrongKind,
     boundary_coefficients,
+    build_poisson,
     build_poisson_1d,
     build_poisson_dd,
     prepare_b,

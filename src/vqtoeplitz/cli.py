@@ -22,13 +22,7 @@ import numpy as np
 
 from . import decomposition as deco
 from .linalg import MAX_DENSE_DIM, DimensionOverflow, ZeroVector, dense_solve, fidelity, normalize
-from .poisson import (
-    UnsupportedProblem,
-    build_poisson_1d,
-    build_poisson_dd,
-    prepare_b,
-    problem_from_dict,
-)
+from .poisson import UnsupportedProblem, build_poisson, prepare_b, problem_from_dict
 from .toeplitz import NotBanded, ToeplitzSpec, toeplitz_to_dense
 from .vqa import (
     AnsatzSpec,
@@ -129,7 +123,7 @@ def cmd_solve_poisson(args) -> int:
     config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     b = prepare_b(problem)
     cost = Cost(*term_lists, b, ansatz, shots=shots, seed=args.seed)
-    a = build_poisson_1d(problem) if problem.dimension == 1 else build_poisson_dd(problem)
+    a = build_poisson(problem)
     reference = normalize(dense_solve(a, np.asarray(b)))
     try:
         out_dir = Path(args.out)

@@ -13,7 +13,10 @@ Letters: L is the cyclic down-shift, X~ the anti-diagonal permutation
 (bit flip on every qubit), Z~ = diag(-1, 1, ..., 1, -1).  The 1-D
 operator with Dirichlet corners satisfies A = 2I - L - L^{-1} + (X~ - X~Z~)/2,
 which is what makes the d-dimensional Kronecker sum expressible in a
-number of words independent of the grid size.
+number of words independent of the grid size.  Every letter, and so every
+word, is a signed permutation (W v)[i] = sign[i] * v[perm[i]];
+``word_permutation`` is the one definition of the alphabet, and the dense
+and sparse matrices are read off it.
 
 Besides the matrix-level term count (``len(term_list.terms)``) the module
 reports the bracket-level count (``count_terms``): the number of distinct
@@ -25,11 +28,12 @@ off for free.  Both tallies are asserted in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.sparse
 
-from .linalg import MAX_DENSE_DIM, DimensionOverflow, build_unit_circulant
+from .linalg import MAX_DENSE_DIM, DimensionOverflow
 from .toeplitz import NotBanded, ToeplitzSpec, band_autocorrelation, corner_corrections
 
 # ---------------------------------------------------------------------------
@@ -111,32 +115,41 @@ _LETTER_FACTORS: dict[str, tuple[str, ...]] = {
 }
 
 
-def _base_matrices(n: int) -> dict[str, np.ndarray]:
-    ell = build_unit_circulant(n, "down")
-    x = np.fliplr(np.eye(n))
-    z = np.eye(n)
-    z[0, 0] = -1.0
-    z[n - 1, n - 1] = -1.0
-    return {"I": np.eye(n), "L": ell, "Linv": ell.T.copy(), "X": x, "Z": z}
+@cache
+def word_permutation(letters: tuple[str, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The word as a cached, read-only signed permutation (perm, sign) with
+    (W v)[i] = sign[i] * v[perm[i]]; axes in ``np.kron`` order, first letter
+    most significant."""
+    idx, ones = np.arange(n), np.ones(n)
+    base = {
+        "I": (idx, ones),
+        "L": (np.roll(idx, 1), ones),
+        "Linv": (np.roll(idx, -1), ones),
+        "X": (idx[::-1], ones),
+        "Z": (idx, np.where((idx == 0) | (idx == n - 1), -1.0, 1.0)),
+    }
+    perm, sign = np.zeros(1, dtype=int), np.ones(1)
+    for name in letters:
+        if name not in _LETTER_FACTORS:
+            raise ValueError(f"unknown letter {name!r}")
+        p, s = idx, ones
+        for factor in _LETTER_FACTORS[name]:  # (M1 M2 v)[i] = s1[i] s2[p1[i]] v[p2[p1[i]]]
+            q, t = base[factor]
+            p, s = q[p], s * t[p]
+        perm, sign = (perm[:, None] * n + p).ravel(), np.outer(sign, s).ravel()
+    perm.flags.writeable = sign.flags.writeable = False
+    return perm, sign
 
 
 def dense_letter(name: str, n: int) -> np.ndarray:
     """Dense realization of a per-axis letter."""
-    if name not in _LETTER_FACTORS:
-        raise ValueError(f"unknown letter {name!r}")
-    base = _base_matrices(n)
-    out = base[_LETTER_FACTORS[name][0]]
-    for factor in _LETTER_FACTORS[name][1:]:
-        out = out @ base[factor]
-    return out
+    return word_to_dense(TensorWord((name,)), n)
 
 
 def word_to_dense(word: TensorWord, n: int) -> np.ndarray:
-    mats = [dense_letter(let, n) for let in word.letters]
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
+    """Dense realization of a word, through the capped ``reconstruct_dense``."""
+    terms = TermList((DecompositionTerm(1.0, word),), n, len(word.letters), "word")
+    return reconstruct_dense(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +376,10 @@ def _op_sparse(op: Operator, n: int, dimension: int, dtype) -> scipy.sparse.csr_
         dim = n**dimension
         return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=dtype)
     if isinstance(op, TensorWord):
-        out = scipy.sparse.csr_matrix(dense_letter(op.letters[0], n).astype(dtype))
-        for letter in op.letters[1:]:
-            out = scipy.sparse.kron(
-                out, scipy.sparse.csr_matrix(dense_letter(letter, n).astype(dtype)), format="csr"
-            )
-        return out
+        perm, sign = word_permutation(op.letters, n)
+        return scipy.sparse.csr_matrix(
+            (sign, (np.arange(perm.size), perm)), shape=(perm.size, perm.size), dtype=dtype
+        )
     raise TypeError(f"unknown operator descriptor {type(op).__name__}")
 
 

@@ -153,6 +153,11 @@ def build_poisson_dd(problem: PoissonProblem) -> np.ndarray:
     return total.toarray()
 
 
+def build_poisson(problem: PoissonProblem) -> np.ndarray:
+    """Dense operator of any supported problem (1-D or Kronecker sum)."""
+    return build_poisson_1d(problem) if problem.dimension == 1 else build_poisson_dd(problem)
+
+
 def prepare_b(problem: PoissonProblem) -> np.ndarray:
     """Normalized right-hand-side state over all N*d qubits."""
     if isinstance(problem.rhs, str):

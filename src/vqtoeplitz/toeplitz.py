@@ -30,11 +30,6 @@ class NotBanded(ValueError):
     """Coefficients violate the band structure or the band-width guard."""
 
 
-def _as_scalar(value) -> complex:
-    value = complex(value)
-    return value
-
-
 class ToeplitzSpec:
     """Banded Toeplitz matrix given by offset -> coefficient.
 
@@ -47,7 +42,7 @@ class ToeplitzSpec:
         if n < 1:
             raise ValueError("n must be >= 1")
         self.n = int(n)
-        self.coeffs = {int(l): _as_scalar(t) for l, t in coeffs.items() if complex(t) != 0}
+        self.coeffs = {int(l): complex(t) for l, t in coeffs.items() if complex(t) != 0}
         k = self.band
         if k >= n:
             raise NotBanded(f"offset {k} out of range for size {n}")

@@ -22,7 +22,7 @@ from .circuits import (
     qft_circuit,
 )
 from .linalg import build_unit_circulant, dft_matrix, random_state
-from .poisson import BoundaryCondition, PoissonProblem, build_poisson_1d, build_poisson_dd
+from .poisson import BoundaryCondition, PoissonProblem, build_poisson, build_poisson_dd
 from .toeplitz import (
     CirculantSpec,
     ToeplitzSpec,
@@ -120,7 +120,7 @@ def _decomposition_checks(rng, inject_fault: str | None) -> list[CheckResult]:
     for n in (4, 8, 16):
         a_terms, a2_terms = deco.decompose_dirichlet_1d(n)
         problem = PoissonProblem(1, n.bit_length() - 1)
-        a_dense = build_poisson_1d(problem)
+        a_dense = build_poisson(problem)
         err_1d = max(err_1d, np.max(np.abs(deco.reconstruct_dense(a_terms) - a_dense)))
         err_1d = max(err_1d, np.max(np.abs(deco.reconstruct_dense(a2_terms) - a_dense @ a_dense)))
     results.append(CheckResult("decompose/dirichlet-1d", float(err_1d), 1e-12))
@@ -268,9 +268,7 @@ def run_verification(
 def verify_problem_terms(problem: PoissonProblem, term_lists) -> float:
     """Max reconstruction error of a problem's own term lists (pre-solve gate)."""
     a_terms, a2_terms = term_lists
-    dense = (
-        build_poisson_1d(problem) if problem.dimension == 1 else build_poisson_dd(problem)
-    )
+    dense = build_poisson(problem)
     err = np.max(np.abs(deco.reconstruct_dense(a_terms) - dense))
     err = max(err, np.max(np.abs(deco.reconstruct_dense(a2_terms) - dense @ dense)))
     return float(err)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 import scipy.optimize
@@ -38,7 +38,7 @@ import scipy.optimize
 from . import decomposition as deco
 from .circuits import Circuit, ShotCountZero, bell_pair_circuits, run_statevector
 from .linalg import DimensionMismatch, dense_solve, fidelity, normalize
-from .poisson import PoissonProblem, build_poisson_1d, build_poisson_dd, prepare_b
+from .poisson import PoissonProblem, boundary_coefficients, build_poisson, prepare_b
 from .toeplitz import (
     ToeplitzSpec,
     circulant_expectation_terms,
@@ -120,11 +120,6 @@ def ansatz_state(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
 # statevector engine: op|v> per decomposition descriptor
 
 
-@lru_cache(maxsize=None)
-def _cached_word_unitary(letters: tuple[str, ...], n: int) -> np.ndarray:
-    return deco.word_to_dense(deco.TensorWord(letters), n)
-
-
 def _apply_operator(op: deco.Operator, n: int, v: np.ndarray) -> np.ndarray:
     """op|v> for one decomposition descriptor (n = grid points per axis)."""
     if isinstance(op, ToeplitzSpec):
@@ -136,7 +131,8 @@ def _apply_operator(op: deco.Operator, n: int, v: np.ndarray) -> np.ndarray:
             if op.symmetrize and i != j:
                 out[j] += v[i]
         return out
-    return _cached_word_unitary(op.letters, n) @ v
+    perm, sign = deco.word_permutation(op.letters, n)
+    return sign * v[perm]
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +151,6 @@ def default_term_lists(problem: PoissonProblem) -> tuple[deco.TermList, deco.Ter
     if problem.dimension == 1:
         if problem.boundary.kind == "dirichlet":
             return deco.decompose_dirichlet_1d(problem.n)
-        from .poisson import boundary_coefficients
-
         c, d = boundary_coefficients(problem.boundary, problem.n)
         return deco.decompose_unified_1d(problem.n, c, d)
     return (
@@ -186,10 +180,11 @@ class Cost:
         num_qubits = b.size.bit_length() - 1
         if b.size != 1 << num_qubits:
             raise ValueError("matrix size must be a power of two")
-        if a_terms.total_dim != b.size or ansatz.num_qubits != num_qubits:
+        grids = [(terms.n, terms.dimension) for terms in (a_terms, g_terms)]
+        if a_terms.total_dim != b.size or ansatz.num_qubits != num_qubits or grids[0] != grids[1]:
             raise DimensionMismatch(
-                f"ansatz acts on {ansatz.num_qubits} qubits, the operator on {a_terms.total_dim}"
-                f" amplitudes and b has {b.size}"
+                f"ansatz acts on {ansatz.num_qubits} qubits, A and G on (n, d) = {grids}"
+                f" grids and b has {b.size} amplitudes"
             )
         if shots is not None and shots < 1:
             raise ShotCountZero("shots must be >= 1")
@@ -344,7 +339,7 @@ def matvec_target_state(spec: ToeplitzSpec, v0: np.ndarray) -> np.ndarray:
 
 def dense_hamiltonian(problem: PoissonProblem) -> np.ndarray:
     """Oracle H = A^dag (I - |b><b|) A for cross-checking the cost."""
-    a = build_poisson_1d(problem) if problem.dimension == 1 else build_poisson_dd(problem)
+    a = build_poisson(problem)
     b = prepare_b(problem)
     proj = np.eye(problem.total_dim) - np.outer(b, b.conj())
     return a.conj().T @ proj @ a
@@ -352,7 +347,7 @@ def dense_hamiltonian(problem: PoissonProblem) -> np.ndarray:
 
 def solution_fidelity(problem: PoissonProblem, ansatz: AnsatzSpec, params: np.ndarray) -> float:
     """|<x|psi(theta)>| against the dense-solve solution state."""
-    a = build_poisson_1d(problem) if problem.dimension == 1 else build_poisson_dd(problem)
+    a = build_poisson(problem)
     x = normalize(dense_solve(a, np.asarray(prepare_b(problem))))
     return fidelity(x, ansatz_state(ansatz, params))
 

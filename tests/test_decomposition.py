@@ -1,11 +1,13 @@
 """Term lists: reconstruction exactness, counts, letters, serialization."""
 
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from vqtoeplitz.decomposition import (
+    _LETTER_FACTORS,
     DecompositionTerm,
     ProjectorPair,
     TensorWord,
@@ -19,7 +21,10 @@ from vqtoeplitz.decomposition import (
     dense_letter,
     reconstruct_dense,
     termlist_to_jsonable,
+    word_permutation,
+    word_to_dense,
 )
+from vqtoeplitz.linalg import build_unit_circulant
 from vqtoeplitz.poisson import PoissonProblem, build_poisson_1d, build_poisson_dd
 from vqtoeplitz.toeplitz import NotBanded, ToeplitzSpec, toeplitz_to_dense
 
@@ -187,6 +192,40 @@ def test_one_dimensional_operator_from_letters():
 def test_unknown_letter():
     with pytest.raises(ValueError):
         dense_letter("Q", 4)
+
+
+def _oracle_letter(name, n):
+    """A letter as the product of its dense factors, built without the
+    signed-permutation form the module uses."""
+    ell = build_unit_circulant(n, "down")
+    base = {
+        "I": np.eye(n),
+        "L": ell,
+        "Linv": ell.T,
+        "X": np.fliplr(np.eye(n)),
+        "Z": np.diag([-1.0] + [1.0] * (n - 2) + [-1.0]),
+    }
+    return reduce(np.matmul, [base[factor] for factor in _LETTER_FACTORS[name]])
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_letters_and_words_match_dense_oracle(n):
+    letters = {name: _oracle_letter(name, n) for name in _LETTER_FACTORS}
+    rng = np.random.default_rng(n)
+    words = [(name,) for name in letters] + [
+        tuple(rng.choice(sorted(letters), size=d).tolist()) for d in (1, 2, 3) for _ in range(6)
+    ]
+    for word in words:
+        dense = reduce(np.kron, [letters[name] for name in word])
+        perm, sign = word_permutation(word, n)
+        # (W v)[i] = sign[i] * v[perm[i]]: row i holds sign[i] at column perm[i], nothing else
+        np.testing.assert_array_equal(dense[np.arange(n ** len(word)), perm], sign)
+        assert np.count_nonzero(dense) == n ** len(word)
+        np.testing.assert_array_equal(word_to_dense(TensorWord(word), n), dense)
+        terms = TermList((DecompositionTerm(1.0, TensorWord(word)),), n, len(word), "word")
+        np.testing.assert_array_equal(reconstruct_dense(terms), dense)
+        if len(word) == 1:
+            np.testing.assert_array_equal(dense_letter(word[0], n), dense)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Ansatz, cost assembly vs dense oracle, optimizer behavior."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from vqtoeplitz import decomposition as deco
 from vqtoeplitz.circuits import (
@@ -413,6 +415,38 @@ def test_shot_mode_at_twelve_qubits():
     assert abs(drawn - exact) <= 1e-10
 
 
+@pytest.mark.parametrize("dimension, qubits_per_axis", [(2, 6), (3, 4)])
+def test_tensor_word_cost_at_twelve_qubits(dimension, qubits_per_axis):
+    # the largest d-D problems the CLI admits; a dense 4096 x 4096 word
+    # alone would take 128 MiB, the signed-permutation words a few MiB in all
+    problem = PoissonProblem(dimension, qubits_per_axis)
+    ansatz = AnsatzSpec(problem.total_qubits, 1)
+    params = np.random.default_rng(78).uniform(0, 2 * np.pi, ansatz.param_count)
+    tracemalloc.start()
+    try:
+        exact = make_linear_system_cost(problem, ansatz)(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    # sparse oracle: A as the Kronecker sum of the 1-D tridiagonal operator
+    n = problem.n
+    one_d = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+    a = sum(
+        scipy.sparse.kron(
+            scipy.sparse.kron(scipy.sparse.identity(n**site), one_d),
+            scipy.sparse.identity(n ** (dimension - 1 - site)),
+        )
+        for site in range(dimension)
+    )
+    psi, b = ansatz_state(ansatz, params), prepare_b(problem)
+    a_psi = a @ psi
+    assert abs(exact - (np.vdot(a_psi, a_psi).real - abs(np.vdot(b, a_psi)) ** 2)) <= 1e-10
+    shot = make_linear_system_cost(problem, ansatz, shots=100)
+    drawn, _ = shot._sampled(psi, lambda p: p)
+    assert abs(drawn - exact) <= 1e-10
+
+
 UNIFIED = BoundaryCondition.unified(1.0, 2.0, 3.0, 1.0)
 
 
@@ -488,6 +522,11 @@ def test_cost_rejects_mismatched_sizes():
         Cost(a_terms, a2_terms, b, AnsatzSpec(2, 1))
     with pytest.raises(DimensionMismatch):
         Cost(a_terms, a2_terms, np.ones(4) / 2, AnsatzSpec(2, 1))
+    # G must act on A's grid: same d and n, not only the same number of amplitudes
+    a_2d, b_2d = deco.decompose_dirichlet_dd(2, 4), prepare_b(PoissonProblem(2, 2))
+    for g_terms in (deco.decompose_dirichlet_dd_squared(2, 8), deco.decompose_dirichlet_1d(16)[1]):
+        with pytest.raises(DimensionMismatch):
+            Cost(a_2d, g_terms, b_2d, AnsatzSpec(4, 1))
     with pytest.raises(ValueError, match="power of two"):
         make_toeplitz_system_cost(ToeplitzSpec(6, TRIDIAG), np.ones(6), AnsatzSpec(3, 1))
 
