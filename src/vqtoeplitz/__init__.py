@@ -32,6 +32,7 @@ from .poisson import (
     build_poisson,
     build_poisson_1d,
     build_poisson_dd,
+    poisson_sparse,
     prepare_b,
     problem_from_dict,
     problem_from_json,
@@ -63,6 +64,7 @@ from .decomposition import (
     decompose_dirichlet_dd_squared,
     decompose_unified_1d,
     reconstruct_dense,
+    reconstruct_sparse,
     termlist_to_jsonable,
 )
 from .circuits import (

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .linalg import DimensionMismatch, basis_state
 from .toeplitz import PhaseSpectrum, phase_spectrum
 
@@ -353,16 +354,13 @@ def controlled_word_circuit(num_system: int, unitary: np.ndarray) -> Circuit:
 def state_prep_circuit(amplitudes: np.ndarray) -> Circuit:
     """Exact preparation of an arbitrary normalized state as one block gate."""
     amplitudes = np.asarray(amplitudes, dtype=complex)
-    dim = amplitudes.shape[0]
-    num_qubits = dim.bit_length() - 1
-    if dim != 1 << num_qubits:
-        raise DimensionMismatch(f"state length {dim} is not a power of two")
+    dim, qubits = amplitudes.shape[0], linalg.num_qubits(amplitudes)
     basis = np.eye(dim, dtype=complex)
     basis[:, 0] = amplitudes
     q, r = np.linalg.qr(basis)
     q[:, 0] *= r[0, 0] / abs(r[0, 0])  # undo QR's phase so column 0 is exactly the state
-    circ = Circuit(num_qubits)
-    return circ.block(tuple(range(num_qubits)), q)
+    circ = Circuit(qubits)
+    return circ.block(tuple(range(qubits)), q)
 
 
 def uniform_prep_circuit(num_qubits: int) -> Circuit:
@@ -530,19 +528,18 @@ def projector_expectation(
     already-prepared statevector.
     """
     if isinstance(prep_state, Circuit):
-        num_qubits = prep_state.num_qubits
         state = run_statevector(prep_state)
     else:
         state = np.asarray(prep_state, dtype=complex)
-        num_qubits = state.shape[0].bit_length() - 1
+    qubits = linalg.num_qubits(state)
     total = 0.0
-    for k, (prep, sign) in enumerate(bell_pair_circuits(descriptor, num_qubits)):
+    for k, (prep, sign) in enumerate(bell_pair_circuits(descriptor, qubits)):
         circ = prep.inverse()
         if shots is None:
             amp = run_statevector(circ, state)[0]
             prob = float(np.abs(amp) ** 2)
         else:
             result = sample_shots(circ, state, shots, seed + k)
-            prob = result.counts.get("0" * num_qubits, 0) / shots
+            prob = result.counts.get("0" * qubits, 0) / shots
         total += sign * prob
     return total

@@ -6,8 +6,9 @@ Subcommands:
     toeplitz solve|matvec --config spec.json [...]
     verify [--out DIR] [--seed S]
 
-Exit codes: 0 ok, 1 verification failure, 2 bad configuration,
-3 oracle cap exceeded, 4 degenerate input (zero image).
+Exit codes: 0 ok, 1 verification failure, 2 bad configuration (any
+malformed input), 3 oracle cap exceeded, 4 degenerate input (zero image
+or singular matrix).
 """
 
 from __future__ import annotations
@@ -21,8 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from . import decomposition as deco
-from .linalg import MAX_DENSE_DIM, DimensionOverflow, ZeroVector, dense_solve, fidelity, normalize
-from .poisson import UnsupportedProblem, build_poisson, prepare_b, problem_from_dict
+from .linalg import (
+    MAX_DENSE_DIM,
+    DimensionOverflow,
+    SingularMatrix,
+    dense_solve,
+    fidelity,
+    normalize,
+    num_qubits,
+)
+from .poisson import build_poisson, prepare_b, problem_from_dict
 from .toeplitz import NotBanded, ToeplitzSpec, toeplitz_to_dense
 from .vqa import (
     AnsatzSpec,
@@ -44,6 +53,24 @@ EXIT_CONFIG = 2
 EXIT_CAP = 3
 EXIT_DEGENERATE = 4
 
+VERIFY_TOL = 1e-12
+
+
+class TermMismatch(Exception):
+    """A problem's term lists do not reconstruct its operator."""
+
+
+# What a solve's setup may raise, and its exit code: the first matching row
+# wins, so the specific ValueErrors come before the generic ones.
+ERRORS = (
+    ((TermMismatch,), EXIT_VERIFY, "verification failed"),
+    ((DimensionOverflow,), EXIT_CAP, "oracle cap exceeded"),
+    ((ZeroImage, SingularMatrix), EXIT_DEGENERATE, "degenerate input"),
+    ((OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError),
+     EXIT_CONFIG, "invalid configuration"),
+)
+_HANDLED = tuple(cls for classes, _, _ in ERRORS for cls in classes)
+
 
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -52,23 +79,10 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _parse_shots(text: str) -> int | None:
-    if text == "exact":
-        return None
-    shots = int(text)
-    if shots < 1:
-        raise ValueError("shots must be >= 1 or 'exact'")
-    return shots
-
-
-def _spec_from_config(payload: dict) -> ToeplitzSpec:
-    coeffs = {int(k): complex(v) if isinstance(v, str) else v for k, v in payload["coeffs"].items()}
-    return ToeplitzSpec(int(payload["n"]), coeffs)
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _vector(payload: dict, key: str, n: int) -> np.ndarray:
@@ -80,97 +94,75 @@ def _vector(payload: dict, key: str, n: int) -> np.ndarray:
     return normalize(vec)
 
 
-def _run_and_report(cost, ansatz, config, reference, out_dir: Path) -> dict:
+def cmd_solve_poisson(args, payload: dict, shots):
+    """Setup of ``solve-poisson``: problem -> term lists -> pre-solve gate ->
+    cost -> dense reference solution."""
+    problem = problem_from_dict(payload)
+    if problem.total_dim > MAX_DENSE_DIM:  # before the term lists, which grow as d^2
+        raise DimensionOverflow(f"problem dimension {problem.total_dim} exceeds the dense cap")
+    term_lists = default_term_lists(problem)
+    err = verify_problem_terms(problem, term_lists)
+    if not err <= VERIFY_TOL:
+        raise TermMismatch(f"term-list reconstruction mismatch {err:.3e}")
+    ansatz = AnsatzSpec(problem.total_qubits, depth=args.depth)
+    b = prepare_b(problem)
+    cost = Cost(*term_lists, b, ansatz, shots=shots, seed=args.seed)
+    reference = normalize(dense_solve(build_poisson(problem), np.asarray(b)))
+    return cost, ansatz, reference
+
+
+def cmd_toeplitz(args, payload: dict, shots):
+    """Setup of ``toeplitz solve|matvec``: band -> vector -> cost -> classical
+    reference (the dense solve, or the normalized image T|v0>)."""
+    coeffs = _object(payload["coeffs"], "coeffs")
+    coeffs = {int(k): complex(v) if isinstance(v, str) else v for k, v in coeffs.items()}
+    spec = ToeplitzSpec(int(payload["n"]), coeffs)
+    if not spec.is_real:
+        raise NotBanded("cost circuits support real bands only")
+    if spec.n > MAX_DENSE_DIM:
+        raise DimensionOverflow(f"size {spec.n} exceeds the dense cap")
+    vec = _vector(payload, "rhs" if args.mode == "solve" else "v0", spec.n)
+    ansatz = AnsatzSpec(num_qubits(vec), depth=args.depth)
+    if args.mode == "solve":
+        cost = make_toeplitz_system_cost(spec, vec, ansatz, shots=shots, seed=args.seed)
+        reference = normalize(dense_solve(toeplitz_to_dense(spec), vec))
+    else:
+        cost = make_matvec_cost(spec, vec, ansatz, shots=shots, seed=args.seed)
+        reference = matvec_target_state(spec, vec)
+    return cost, ansatz, reference
+
+
+def cmd_solve(args) -> int:
+    """The run path of every solve subcommand.  Reading the input and the
+    setup sit inside the one error boundary; the optimization and the report
+    sit outside it, so a fault there keeps its traceback."""
+    try:
+        shots = None if args.shots == "exact" else int(args.shots)
+        with open(args.config) as fh:
+            payload = _object(json.load(fh), "the configuration")
+        cost, ansatz, reference = args.setup(args, payload, shots)
+        config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except _HANDLED as exc:
+        code, label = next((c, l) for classes, c, l in ERRORS if isinstance(exc, classes))
+        print(f"error: {label}: {exc}", file=sys.stderr)
+        return code
+
     t0 = time.perf_counter()
     trace = optimize(cost, ansatz, config, reference_state=reference)
     wall = time.perf_counter() - t0
     best_fidelity = None
-    if reference is not None and trace.best_params is not None:
-        best_fidelity = fidelity(reference, ansatz_state(ansatz, trace.best_params))
+    if trace.best_params is not None:
+        best_fidelity = float(fidelity(reference, ansatz_state(ansatz, trace.best_params)))
     trace.write_csv(out_dir / "trace.csv")
     summary = {
         "best_cost": float(trace.best_cost),
-        "best_fidelity": None if best_fidelity is None else float(best_fidelity),
+        "best_fidelity": best_fidelity,
         "restarts": config.restarts,
         "wall_time": wall,
     }
     _write_json(out_dir / "summary.json", summary)
-    return summary
-
-
-def cmd_solve_poisson(args) -> int:
-    try:
-        problem = problem_from_dict(_load_config(args.config))
-        shots = _parse_shots(args.shots)
-    except (OSError, json.JSONDecodeError, UnsupportedProblem, ZeroVector, ValueError) as exc:
-        print(f"error: invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if problem.total_dim > MAX_DENSE_DIM:
-        print(
-            f"error: problem dimension {problem.total_dim} exceeds the oracle cap; "
-            "fidelity reporting is impossible",
-            file=sys.stderr,
-        )
-        return EXIT_CAP
-
-    term_lists = default_term_lists(problem)
-    err = verify_problem_terms(problem, term_lists)
-    if err > 1e-12:
-        print(f"error: term-list reconstruction mismatch {err:.3e}", file=sys.stderr)
-        return EXIT_VERIFY
-
-    ansatz = AnsatzSpec(problem.total_qubits, depth=args.depth)
-    config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
-    b = prepare_b(problem)
-    cost = Cost(*term_lists, b, ansatz, shots=shots, seed=args.seed)
-    a = build_poisson(problem)
-    reference = normalize(dense_solve(a, np.asarray(b)))
-    try:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    summary = _run_and_report(cost, ansatz, config, reference, out_dir)
-    print(json.dumps(summary, sort_keys=True))
-    return EXIT_OK
-
-
-def cmd_toeplitz(args) -> int:
-    try:
-        payload = _load_config(args.config)
-        spec = _spec_from_config(payload)
-        shots = _parse_shots(args.shots)
-        if not spec.is_real:
-            raise NotBanded("cost circuits support real bands only")
-        num_qubits = spec.n.bit_length() - 1
-        if spec.n != 1 << num_qubits:
-            raise NotBanded("matrix size must be a power of two")
-        vec = _vector(payload, "rhs" if args.mode == "solve" else "v0", spec.n)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, NotBanded, ValueError) as exc:
-        print(f"error: invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if spec.n > MAX_DENSE_DIM:
-        print("error: size exceeds the oracle cap", file=sys.stderr)
-        return EXIT_CAP
-
-    ansatz = AnsatzSpec(num_qubits, depth=args.depth)
-    config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
-    try:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    if args.mode == "solve":
-        reference = normalize(dense_solve(toeplitz_to_dense(spec), vec))
-        cost = make_toeplitz_system_cost(spec, vec, ansatz, shots=shots, seed=args.seed)
-    else:
-        reference = matvec_target_state(spec, vec)
-        cost = make_matvec_cost(spec, vec, ansatz, shots=shots, seed=args.seed)
-
-    summary = _run_and_report(cost, ansatz, config, reference, out_dir)
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
@@ -198,6 +190,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: numpy seeds are non-negative integers."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vqtoeplitz",
@@ -206,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--shots", default="exact", help="shot count per circuit, or 'exact'")
         p.add_argument("--restarts", type=int, default=5)
         p.add_argument("--depth", type=int, default=2)
@@ -215,16 +214,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve-poisson", help="variational solve of a Poisson problem")
     sp.add_argument("--config", required=True, help="problem JSON path")
     common(sp)
-    sp.set_defaults(func=cmd_solve_poisson)
+    sp.set_defaults(func=cmd_solve, setup=cmd_solve_poisson)
 
     tp = sub.add_parser("toeplitz", help="banded-Toeplitz linear algebra")
     tp.add_argument("mode", choices=["solve", "matvec"])
     tp.add_argument("--config", required=True, help="banded spec JSON path")
     common(tp)
-    tp.set_defaults(func=cmd_toeplitz)
+    tp.set_defaults(func=cmd_solve, setup=cmd_toeplitz)
 
     vp = sub.add_parser("verify", help="run the invariant suite and write a report")
-    vp.add_argument("--seed", type=int, default=0)
+    vp.add_argument("--seed", type=_seed, default=0)
     vp.add_argument("--out", default="out")
     vp.add_argument("--inject-fault", default=None, help=argparse.SUPPRESS)
     vp.set_defaults(func=cmd_verify)
@@ -233,17 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except DimensionOverflow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except NotBanded as exc:  # e.g. a band whose Gram no longer fits the size
-        print(f"error: invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ZeroImage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -392,11 +392,9 @@ def _is_real(term_list: TermList) -> bool:
     return True
 
 
-def reconstruct_dense(term_list: TermList) -> np.ndarray:
-    """Coefficient-weighted dense sum of all terms (the verification route)."""
+def reconstruct_sparse(term_list: TermList) -> scipy.sparse.csr_matrix:
+    """Coefficient-weighted sparse sum of all terms (the verification route)."""
     dim = term_list.total_dim
-    if dim > MAX_DENSE_DIM:
-        raise DimensionOverflow(f"reconstruction dimension {dim} exceeds cap {MAX_DENSE_DIM}")
     dtype = float if _is_real(term_list) else complex
     acc = scipy.sparse.csr_matrix((dim, dim), dtype=dtype)
     for term in term_list.terms:
@@ -405,7 +403,15 @@ def reconstruct_dense(term_list: TermList) -> np.ndarray:
         acc = acc + coeff * mat
         if term.conjugate_pair:
             acc = acc + np.conj(coeff) * mat.conjugate().T.tocsr()
-    return acc.toarray()
+    return acc
+
+
+def reconstruct_dense(term_list: TermList) -> np.ndarray:
+    """``reconstruct_sparse`` as a dense array, within the dense cap."""
+    dim = term_list.total_dim
+    if dim > MAX_DENSE_DIM:
+        raise DimensionOverflow(f"reconstruction dimension {dim} exceeds cap {MAX_DENSE_DIM}")
+    return reconstruct_sparse(term_list).toarray()
 
 
 def count_terms(term_list: TermList) -> int:

@@ -44,8 +44,8 @@ class BoundaryCondition:
                 raise ValueError("dirichlet boundary carries no parameters")
         elif self.kind == "unified":
             params = (self.alpha1, self.alpha2, self.beta1, self.beta2)
-            if any(p is None or p <= 0 for p in params):
-                raise ValueError("unified boundary requires four positive parameters")
+            if any(p is None or not 0 < p < np.inf for p in params):
+                raise ValueError("unified boundary requires four positive finite parameters")
         else:
             raise ValueError(f"unknown boundary kind {self.kind!r}")
 
@@ -85,6 +85,8 @@ class PoissonProblem:
                 raise UnsupportedProblem(
                     f"rhs length {self.rhs.shape} != grid size {self.total_dim}"
                 )
+            if not np.all(np.isfinite(self.rhs)):
+                raise UnsupportedProblem("rhs must be finite")
             if np.max(np.abs(self.rhs)) == 0:
                 raise ZeroVector("rhs must not be all zero")
         elif self.rhs != "uniform":
@@ -114,48 +116,48 @@ def boundary_coefficients(bc: BoundaryCondition, n: int) -> tuple[float, float]:
     return c, d
 
 
-def build_poisson_1d(problem: PoissonProblem) -> np.ndarray:
-    """Tridiagonal [-1, 2, -1] operator with boundary-adjusted corners."""
-    if problem.dimension != 1:
-        raise UnsupportedProblem("build_poisson_1d requires dimension 1")
-    n = problem.n
-    a = 2.0 * np.eye(n) - np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)
+def poisson_sparse(problem: PoissonProblem) -> scipy.sparse.csr_matrix:
+    """CSR operator of any supported problem: the tridiagonal [-1, 2, -1]
+    band with boundary-adjusted corners, as a Kronecker sum over d axes."""
+    n, axes = problem.n, problem.dimension
+    diagonal = np.full(n, 2.0)
     if problem.boundary.kind == "unified":
         c, d = boundary_coefficients(problem.boundary, n)
-        a[0, 0] -= c
-        a[n - 1, n - 1] -= d
-    return a
+        diagonal[0] -= c
+        diagonal[n - 1] -= d
+    off = np.full(n - 1, -1.0)
+    one_d = scipy.sparse.diags([off, diagonal, off], [-1, 0, 1], format="csr")
+    eye = scipy.sparse.identity(n, format="csr")
+    total = scipy.sparse.csr_matrix((problem.total_dim, problem.total_dim))
+    for site in range(axes):
+        term = one_d if site == 0 else eye
+        for k in range(1, axes):
+            term = scipy.sparse.kron(term, one_d if k == site else eye, format="csr")
+        total = total + term
+    return total
 
 
-def build_poisson_dd(problem: PoissonProblem) -> np.ndarray:
-    """Kronecker sum of d one-dimensional Dirichlet operators.
-
-    Assembled sparsely (each summand has O(n^d) entries) and returned
-    dense; entries are exact small integers.
-    """
-    if problem.boundary.kind != "dirichlet":
-        raise UnsupportedProblem("multi-dimensional operator requires dirichlet boundary")
+def build_poisson(problem: PoissonProblem) -> np.ndarray:
+    """Dense operator of any supported problem, within the dense cap."""
     if problem.total_dim > MAX_DENSE_DIM:
         raise DimensionOverflow(
             f"grid size {problem.total_dim} exceeds dense cap {MAX_DENSE_DIM}"
         )
-    n, d = problem.n, problem.dimension
-    one_d = scipy.sparse.csr_matrix(
-        build_poisson_1d(PoissonProblem(1, problem.qubits_per_axis, problem.boundary))
-    )
-    eye = scipy.sparse.identity(n, format="csr")
-    total = scipy.sparse.csr_matrix((problem.total_dim, problem.total_dim))
-    for site in range(d):
-        term = one_d if site == 0 else eye
-        for k in range(1, d):
-            term = scipy.sparse.kron(term, one_d if k == site else eye, format="csr")
-        total = total + term
-    return total.toarray()
+    return poisson_sparse(problem).toarray()
 
 
-def build_poisson(problem: PoissonProblem) -> np.ndarray:
-    """Dense operator of any supported problem (1-D or Kronecker sum)."""
-    return build_poisson_1d(problem) if problem.dimension == 1 else build_poisson_dd(problem)
+def build_poisson_1d(problem: PoissonProblem) -> np.ndarray:
+    """Tridiagonal [-1, 2, -1] operator with boundary-adjusted corners."""
+    if problem.dimension != 1:
+        raise UnsupportedProblem("build_poisson_1d requires dimension 1")
+    return build_poisson(problem)
+
+
+def build_poisson_dd(problem: PoissonProblem) -> np.ndarray:
+    """Kronecker sum of d one-dimensional Dirichlet operators."""
+    if problem.boundary.kind != "dirichlet":
+        raise UnsupportedProblem("multi-dimensional operator requires dirichlet boundary")
+    return build_poisson(problem)
 
 
 def prepare_b(problem: PoissonProblem) -> np.ndarray:

@@ -43,6 +43,8 @@ class ToeplitzSpec:
             raise ValueError("n must be >= 1")
         self.n = int(n)
         self.coeffs = {int(l): complex(t) for l, t in coeffs.items() if complex(t) != 0}
+        if not all(np.isfinite(t) for t in self.coeffs.values()):
+            raise ValueError("coefficients must be finite")
         k = self.band
         if k >= n:
             raise NotBanded(f"offset {k} out of range for size {n}")

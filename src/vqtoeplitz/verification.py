@@ -22,7 +22,13 @@ from .circuits import (
     qft_circuit,
 )
 from .linalg import build_unit_circulant, dft_matrix, random_state
-from .poisson import BoundaryCondition, PoissonProblem, build_poisson, build_poisson_dd
+from .poisson import (
+    BoundaryCondition,
+    PoissonProblem,
+    build_poisson,
+    build_poisson_dd,
+    poisson_sparse,
+)
 from .toeplitz import (
     CirculantSpec,
     ToeplitzSpec,
@@ -266,12 +272,12 @@ def run_verification(
 
 
 def verify_problem_terms(problem: PoissonProblem, term_lists) -> float:
-    """Max reconstruction error of a problem's own term lists (pre-solve gate)."""
+    """Max reconstruction error of a problem's own term lists (pre-solve
+    gate), compared as CSR matrices."""
     a_terms, a2_terms = term_lists
-    dense = build_poisson(problem)
-    err = np.max(np.abs(deco.reconstruct_dense(a_terms) - dense))
-    err = max(err, np.max(np.abs(deco.reconstruct_dense(a2_terms) - dense @ dense)))
-    return float(err)
+    a = poisson_sparse(problem)
+    pairs = ((a_terms, a), (a2_terms, a @ a))
+    return max(float(abs(deco.reconstruct_sparse(t) - m).max()) for t, m in pairs)
 
 
 def term_count_table() -> dict[str, int]:

@@ -37,7 +37,7 @@ import scipy.optimize
 
 from . import decomposition as deco
 from .circuits import Circuit, ShotCountZero, bell_pair_circuits, run_statevector
-from .linalg import DimensionMismatch, dense_solve, fidelity, normalize
+from .linalg import DimensionMismatch, dense_solve, fidelity, normalize, num_qubits
 from .poisson import PoissonProblem, boundary_coefficients, build_poisson, prepare_b
 from .toeplitz import (
     ToeplitzSpec,
@@ -61,29 +61,19 @@ class ZeroImage(ValueError):
 
 @dataclass(frozen=True)
 class AnsatzSpec:
-    """Hardware-efficient ansatz: per layer, one rotation per qubit followed
-    by a nearest-neighbor entangler chain."""
+    """Hardware-efficient ansatz: per layer, one Ry rotation per qubit
+    followed by a nearest-neighbor CNOT chain."""
 
     num_qubits: int
     depth: int
-    rotation: str = "ry"  # "ry" | "rz-ry-rz"
-    entangler: str = "cnot"  # "cnot" | "cz"
 
     def __post_init__(self):
-        if self.rotation not in ("ry", "rz-ry-rz"):
-            raise ValueError(f"unknown rotation {self.rotation!r}")
-        if self.entangler not in ("cnot", "cz"):
-            raise ValueError(f"unknown entangler {self.entangler!r}")
         if self.depth < 1 or self.num_qubits < 1:
             raise ValueError("depth and num_qubits must be >= 1")
 
     @property
-    def params_per_layer(self) -> int:
-        return self.num_qubits * (3 if self.rotation == "rz-ry-rz" else 1)
-
-    @property
     def param_count(self) -> int:
-        return self.depth * self.params_per_layer
+        return self.depth * self.num_qubits
 
 
 def ansatz_circuit(spec: AnsatzSpec, params: np.ndarray) -> Circuit:
@@ -93,22 +83,11 @@ def ansatz_circuit(spec: AnsatzSpec, params: np.ndarray) -> Circuit:
             f"expected {spec.param_count} parameters, got {params.shape}"
         )
     circ = Circuit(spec.num_qubits)
-    k = 0
-    for _ in range(spec.depth):
-        for q in range(spec.num_qubits):
-            if spec.rotation == "ry":
-                circ.ry(params[k], q)
-                k += 1
-            else:
-                circ.rz(params[k], q)
-                circ.ry(params[k + 1], q)
-                circ.rz(params[k + 2], q)
-                k += 3
+    for layer in params.reshape(spec.depth, spec.num_qubits):
+        for q, theta in enumerate(layer):
+            circ.ry(theta, q)
         for q in range(spec.num_qubits - 1):
-            if spec.entangler == "cnot":
-                circ.cnot(q, q + 1)
-            else:
-                circ.cz(q, q + 1)
+            circ.cnot(q, q + 1)
     return circ
 
 
@@ -177,11 +156,9 @@ class Cost:
 
     def __init__(self, a_terms, g_terms, b, ansatz: AnsatzSpec, shots=None, seed=0):
         b = np.asarray(b)
-        num_qubits = b.size.bit_length() - 1
-        if b.size != 1 << num_qubits:
-            raise ValueError("matrix size must be a power of two")
+        qubits = num_qubits(b)
         grids = [(terms.n, terms.dimension) for terms in (a_terms, g_terms)]
-        if a_terms.total_dim != b.size or ansatz.num_qubits != num_qubits or grids[0] != grids[1]:
+        if a_terms.total_dim != b.size or ansatz.num_qubits != qubits or grids[0] != grids[1]:
             raise DimensionMismatch(
                 f"ansatz acts on {ansatz.num_qubits} qubits, A and G on (n, d) = {grids}"
                 f" grids and b has {b.size} amplitudes"
@@ -193,7 +170,7 @@ class Cost:
         self._bell_states = {
             term.op: [
                 (run_statevector(prep), sign)
-                for prep, sign in bell_pair_circuits(term.op, num_qubits)
+                for prep, sign in bell_pair_circuits(term.op, qubits)
             ]
             for term in g_terms.terms
             if isinstance(term.op, deco.ProjectorPair)

@@ -288,6 +288,11 @@ def test_projector_expectation_uniform_state():
     assert value == pytest.approx(0.25, abs=1e-12)
 
 
+def test_projector_expectation_rejects_non_power_of_two_state():
+    with pytest.raises(DimensionMismatch, match="power of two"):
+        projector_expectation(ProjectorPair(((0, 0),)), np.ones(6) / np.sqrt(6))
+
+
 @pytest.mark.parametrize("num_qubits", [2, 3, 4])
 def test_projector_expectation_against_dense(num_qubits):
     n = 1 << num_qubits

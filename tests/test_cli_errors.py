@@ -1,0 +1,48 @@
+"""Every bad input ends in its documented exit code and one error line."""
+
+import json
+
+import pytest
+
+from vqtoeplitz.cli import main
+
+DIRICHLET = {"dimension": 1, "qubits_per_axis": 2, "boundary": {"kind": "dirichlet"}}
+
+
+def run(argv):
+    """main's exit code, whether it returns it or argparse exits with it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, payload, code",
+    [
+        (["toeplitz", "solve"], {"n": 8, "coeffs": {"1": 1}}, 4),
+        (["solve-poisson", "--depth", "0"], DIRICHLET, 2),
+        (["solve-poisson", "--restarts", "0"], DIRICHLET, 2),
+        (["solve-poisson", "--seed", "-1"], DIRICHLET, 2),
+        (["verify", "--seed", "-1"], None, 2),
+        (["solve-poisson"], [1, 2], 2),
+        (["solve-poisson"], dict(DIRICHLET, rhs=[float("nan"), 1, 1, 1]), 2),
+        (["solve-poisson"], dict(DIRICHLET, rhs=[float("inf"), 1, 1, 1]), 2),
+        (["solve-poisson"], dict(DIRICHLET, qubits_per_axis=1), 2),
+        (["toeplitz", "solve"], {"n": 1, "coeffs": {"0": 1}}, 2),
+        (["toeplitz", "matvec"], {"n": float("inf"), "coeffs": {"0": 1}}, 2),
+    ],
+    ids=["singular-band", "depth-0", "restarts-0", "seed-negative", "verify-seed-negative",
+         "config-not-object", "rhs-nan", "rhs-infinity", "1d-one-qubit", "band-size-1",
+         "band-size-infinity"],
+)
+def test_bad_input_exit_code(tmp_path, capsys, argv, payload, code):
+    argv = argv + ["--out", str(tmp_path / "out")]
+    if payload is not None:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        argv += ["--config", str(config)]
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert sum("error:" in line for line in err.splitlines()) == 1, err
+    assert "Traceback" not in err

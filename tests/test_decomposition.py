@@ -20,12 +20,15 @@ from vqtoeplitz.decomposition import (
     decompose_unified_1d,
     dense_letter,
     reconstruct_dense,
+    reconstruct_sparse,
     termlist_to_jsonable,
     word_permutation,
     word_to_dense,
 )
 from vqtoeplitz.linalg import build_unit_circulant
-from vqtoeplitz.poisson import PoissonProblem, build_poisson_1d, build_poisson_dd
+from vqtoeplitz.poisson import BoundaryCondition, PoissonProblem, build_poisson_1d, build_poisson_dd
+from vqtoeplitz.verification import verify_problem_terms
+from vqtoeplitz.vqa import default_term_lists
 from vqtoeplitz.toeplitz import NotBanded, ToeplitzSpec, toeplitz_to_dense
 
 
@@ -290,3 +293,29 @@ def test_banded_gram_guards():
         decompose_banded_gram(ToeplitzSpec(4, {-2: 1.0, 0: 1.0, 2: 1.0}))
     with pytest.raises(NotImplementedError):
         decompose_banded_gram(ToeplitzSpec(8, {0: 1.0 + 1.0j}))
+
+
+# ---------------------------------------------------------------------------
+# pre-solve gate
+
+GATE_PROBLEMS = [
+    PoissonProblem(1, 3),
+    PoissonProblem(1, 5, BoundaryCondition.unified(1.0, 2.0, 3.0, 1.0)),
+    PoissonProblem(2, 2),
+    PoissonProblem(3, 2),
+]
+
+
+@pytest.mark.parametrize("problem", GATE_PROBLEMS, ids=["1d", "unified", "2d", "3d"])
+def test_gate_exact_on_own_term_lists(problem):
+    term_lists = default_term_lists(problem)
+    assert verify_problem_terms(problem, term_lists) == 0.0
+    for terms in term_lists:
+        np.testing.assert_array_equal(reconstruct_sparse(terms).toarray(), reconstruct_dense(terms))
+
+
+def test_gate_detects_a_wrong_coefficient():
+    a_terms, a2_terms = default_term_lists(PoissonProblem(1, 3))
+    bad = DecompositionTerm(a2_terms.terms[0].coefficient * 1.001, a2_terms.terms[0].op)
+    a2_bad = TermList((bad,) + a2_terms.terms[1:], a2_terms.n, a2_terms.dimension, "bad")
+    assert verify_problem_terms(PoissonProblem(1, 3), (a_terms, a2_bad)) > 1e-3

@@ -11,7 +11,9 @@ from vqtoeplitz.poisson import (
     WrongKind,
     boundary_coefficients,
     build_poisson_1d,
+    build_poisson,
     build_poisson_dd,
+    poisson_sparse,
     prepare_b,
     problem_from_dict,
 )
@@ -37,8 +39,9 @@ def test_boundary_coefficients_wrong_kind():
 
 
 def test_boundary_validation():
-    with pytest.raises(ValueError):
-        BoundaryCondition.unified(1.0, -1.0, 1.0, 1.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            BoundaryCondition.unified(1.0, bad, 1.0, 1.0)
     with pytest.raises(ValueError):
         BoundaryCondition("dirichlet", alpha1=1.0)
 
@@ -123,6 +126,26 @@ def test_build_poisson_1d_positive_definite_random_corners():
 def test_build_poisson_dd_overflow():
     with pytest.raises(DimensionOverflow):
         build_poisson_dd(PoissonProblem(3, 5))
+
+
+def test_build_poisson_1d_overflow():
+    with pytest.raises(DimensionOverflow):
+        build_poisson_1d(PoissonProblem(1, 13))
+
+
+def test_poisson_sparse_is_the_dense_operator():
+    unified = BoundaryCondition.unified(1.0, 2.0, 3.0, 1.0)
+    for problem in (PoissonProblem(1, 3), PoissonProblem(1, 3, unified), PoissonProblem(2, 2),
+                    PoissonProblem(3, 1)):
+        np.testing.assert_array_equal(poisson_sparse(problem).toarray(), build_poisson(problem))
+
+
+def test_rhs_must_be_finite():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(UnsupportedProblem, match="finite"):
+            PoissonProblem(1, 2, rhs=[bad, 1.0, 1.0, 1.0])
+        with pytest.raises(UnsupportedProblem, match="finite"):
+            problem_from_dict({"dimension": 1, "qubits_per_axis": 2, "rhs": [1.0, bad, 1.0, 1.0]})
 
 
 def test_unified_requires_1d():

@@ -61,6 +61,9 @@ def test_spec_validation():
     with pytest.raises(NotBanded):
         ToeplitzSpec(256, {129: 1.0})  # polylog band guard: 2*(log2 256)^2 = 128
     assert ToeplitzSpec(4, {0: 0.0, 1: 2.0}).coeffs == {1: 2.0}
+    for bad in (float("nan"), float("inf"), complex(1.0, float("nan"))):
+        with pytest.raises(ValueError, match="finite"):
+            ToeplitzSpec(4, {0: 2.0, 1: bad})
 
 
 def test_embedding_first_column():

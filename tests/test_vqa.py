@@ -65,9 +65,9 @@ def test_ansatz_single_qubit_pi_rotation():
 
 def test_ansatz_norm_and_param_count():
     rng = np.random.default_rng(0)
-    spec = AnsatzSpec(4, 3, rotation="rz-ry-rz", entangler="cz")
-    assert spec.param_count == 36
-    state = ansatz_state(spec, rng.uniform(0, 2 * np.pi, 36))
+    spec = AnsatzSpec(4, 3)
+    assert spec.param_count == 12
+    state = ansatz_state(spec, rng.uniform(0, 2 * np.pi, 12))
     assert abs(np.linalg.norm(state) - 1) <= 1e-12
 
 
