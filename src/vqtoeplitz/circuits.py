@@ -95,17 +95,11 @@ class Circuit:
     def ry(self, angle, q):
         return self._add("ry", (q,), float(angle))
 
-    def rz(self, angle, q):
-        return self._add("rz", (q,), float(angle))
-
     def phase(self, angle, q):
         return self._add("phase", (q,), float(angle))
 
     def cnot(self, control, target):
         return self._add("cnot", (control, target))
-
-    def cz(self, control, target):
-        return self._add("cz", (control, target))
 
     def cphase(self, angle, control, target):
         return self._add("cphase", (control, target), float(angle))
@@ -140,13 +134,13 @@ class Circuit:
     def inverse(self) -> "Circuit":
         inv = Circuit(self.num_qubits)
         for gate in reversed(self.gates):
-            if gate.tag in ("h", "x", "cnot", "cz"):
+            if gate.tag in ("h", "x", "cnot"):
                 inv.gates.append(gate)
             elif gate.tag == "s":
                 inv.gates.append(Gate("sdg", gate.qubits))
             elif gate.tag == "sdg":
                 inv.gates.append(Gate("s", gate.qubits))
-            elif gate.tag in ("ry", "rz", "phase", "cphase"):
+            elif gate.tag in ("ry", "phase", "cphase"):
                 inv.gates.append(Gate(gate.tag, gate.qubits, -gate.angle))
             elif gate.tag in ("block", "cblock"):
                 inv.gates.append(Gate(gate.tag, gate.qubits, None, gate.matrix.conj().T))
@@ -176,7 +170,6 @@ _S = np.diag([1.0, 1j])
 _CNOT = np.array(
     [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
 )  # qubit order (control, target): basis index = control + 2*target
-_CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
 def _gate_matrix(gate: Gate) -> np.ndarray:
@@ -191,14 +184,10 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
     if gate.tag == "ry":
         c, s = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
         return np.array([[c, -s], [s, c]], dtype=complex)
-    if gate.tag == "rz":
-        return np.diag([np.exp(-0.5j * gate.angle), np.exp(0.5j * gate.angle)])
     if gate.tag == "phase":
         return np.diag([1.0, np.exp(1j * gate.angle)])
     if gate.tag == "cnot":
         return _CNOT
-    if gate.tag == "cz":
-        return _CZ
     if gate.tag == "cphase":
         return np.diag([1.0, 1.0, 1.0, np.exp(1j * gate.angle)])
     raise ValueError(f"no matrix for gate {gate.tag}")

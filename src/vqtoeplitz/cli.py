@@ -72,6 +72,13 @@ ERRORS = (
 _HANDLED = tuple(cls for classes, _, _ in ERRORS for cls in classes)
 
 
+def _fail(exc: Exception) -> int:
+    """Print the one error line of a handled fault and return its exit code."""
+    code, label = next((c, l) for classes, c, l in ERRORS if isinstance(exc, classes))
+    print(f"error: {label}: {exc}", file=sys.stderr)
+    return code
+
+
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
@@ -116,7 +123,7 @@ def cmd_toeplitz(args, payload: dict, shots):
     reference (the dense solve, or the normalized image T|v0>)."""
     coeffs = _object(payload["coeffs"], "coeffs")
     coeffs = {int(k): complex(v) if isinstance(v, str) else v for k, v in coeffs.items()}
-    spec = ToeplitzSpec(int(payload["n"]), coeffs)
+    spec = ToeplitzSpec(payload["n"], coeffs)
     if not spec.is_real:
         raise NotBanded("cost circuits support real bands only")
     if spec.n > MAX_DENSE_DIM:
@@ -145,9 +152,7 @@ def cmd_solve(args) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
     except _HANDLED as exc:
-        code, label = next((c, l) for classes, c, l in ERRORS if isinstance(exc, classes))
-        print(f"error: {label}: {exc}", file=sys.stderr)
-        return code
+        return _fail(exc)
 
     t0 = time.perf_counter()
     trace = optimize(cost, ansatz, config, reference_state=reference)
@@ -178,8 +183,10 @@ def cmd_verify(args) -> int:
         },
         "all_pass": ok,
     }
-    out_dir = Path(args.out)
-    _write_json(out_dir / "verify-report.json", report)
+    try:
+        _write_json(Path(args.out) / "verify-report.json", report)
+    except _HANDLED as exc:
+        return _fail(exc)
     for result in results:
         status = "pass" if result.passed else "FAIL"
         print(f"[{status}] {result.name}: max error {result.max_error:.3e}")

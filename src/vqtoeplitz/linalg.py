@@ -17,6 +17,7 @@ Conventions fixed once for the whole package:
 
 from __future__ import annotations
 
+import numbers
 import warnings
 
 import numpy as np
@@ -76,8 +77,15 @@ def dense_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     pivots = np.abs(np.diag(lu))
     if pivots.min() < PIVOT_TOL:
         raise SingularMatrix(f"pivot magnitude {pivots.min():.3e} below {PIVOT_TOL}")
-    x = scipy.linalg.lu_solve((lu, piv), b)
-    residual = np.max(np.abs(a @ x - b))
+    # A real matrix solves a complex b's real and imaginary parts as two real
+    # columns with the one LU, instead of copying itself to complex twice.
+    split = np.iscomplexobj(b) and not np.iscomplexobj(a)
+    rhs = np.stack([b.real, b.imag], axis=-1).reshape(len(b), -1) if split else b
+    x = scipy.linalg.lu_solve((lu, piv), rhs)
+    error = a @ x - rhs
+    if split:  # recombine the real columns: x = x_re + 1j x_im
+        x, error = (v.reshape(*b.shape, 2) @ np.array([1.0, 1j]) for v in (x, error))
+    residual = np.max(np.abs(error))
     if residual > 1e-10 * max(np.max(np.abs(b)), 1e-300):
         raise SingularMatrix(f"solve residual {residual:.3e} too large; matrix ill-conditioned")
     return x
@@ -119,6 +127,13 @@ def normalize(v: np.ndarray) -> np.ndarray:
     if norm <= 1e-14:
         raise ZeroVector("cannot normalize a (near-)zero vector")
     return v / norm
+
+
+def integer(value, what: str) -> int:
+    """``value`` as an int; a bool or a float (8.0 included) is rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def num_qubits(v: np.ndarray) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .linalg import MAX_DENSE_DIM, DimensionOverflow, ZeroVector, normalize
+from .linalg import MAX_DENSE_DIM, DimensionOverflow, ZeroVector, integer, normalize
 
 
 class WrongKind(ValueError):
@@ -73,6 +73,8 @@ class PoissonProblem:
     rhs: str | np.ndarray = "uniform"
 
     def __post_init__(self):
+        self.dimension = integer(self.dimension, "dimension")
+        self.qubits_per_axis = integer(self.qubits_per_axis, "qubits_per_axis")
         if self.dimension < 1:
             raise UnsupportedProblem("dimension must be >= 1")
         if self.qubits_per_axis < 1:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatch
+from .linalg import DimensionMismatch, integer
 
 
 class NotBanded(ValueError):
@@ -39,9 +39,9 @@ class ToeplitzSpec:
     """
 
     def __init__(self, n: int, coeffs: dict[int, complex]):
-        if n < 1:
+        self.n = integer(n, "n")
+        if self.n < 1:
             raise ValueError("n must be >= 1")
-        self.n = int(n)
         self.coeffs = {int(l): complex(t) for l, t in coeffs.items() if complex(t) != 0}
         if not all(np.isfinite(t) for t in self.coeffs.values()):
             raise ValueError("coefficients must be finite")
@@ -60,9 +60,6 @@ class ToeplitzSpec:
     @property
     def is_real(self) -> bool:
         return all(t.imag == 0 for t in self.coeffs.values())
-
-    def scaled(self, factor: complex) -> "ToeplitzSpec":
-        return ToeplitzSpec(self.n, {l: t * factor for l, t in self.coeffs.items()})
 
     def __repr__(self):
         band = {l: self.coeffs[l] for l in sorted(self.coeffs)}

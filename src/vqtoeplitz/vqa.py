@@ -13,16 +13,16 @@ T_s = T/||T v0||, and b = v0:
 
 which vanishes exactly when |psi> matches the normalized image T|v0>.
 
-Both modes prepare the ansatz statevector once per evaluation.  Exact
-mode takes each term as the inner product np.vdot(left, apply(op, right))
-that a Hadamard test's ancilla bias estimates.  Shot mode draws each
-estimation the gate-level circuits (``circuits``) would make from its
-exact probability: the ancilla of a Hadamard test of x = Re z or Im z reads
-0 with probability (1 + x)/2, a projector circuit reads all zeros with
-probability |<prep|psi>|^2, and each is a Binomial(shots, p) draw.  The
-units are the circuits': one bracket per shift power of a band's circulant
-embedding, one per distinct amplitude of a projector pair's cross term,
-one per tensor word, one probability per projector preparation circuit.
+Both modes prepare the ansatz statevector once per evaluation and
+evaluate the same estimations, the units of the gate-level circuits
+(``circuits``): one Hadamard-test bracket per shift power of a band's
+circulant embedding, one per distinct amplitude of a projector pair's
+cross term, one per tensor word, one all-zeros probability per projector
+preparation circuit.  Exact mode takes each estimation at its exact value.
+Shot mode draws each from its exact probability: the ancilla of a Hadamard
+test of x = Re z or Im z reads 0 with probability (1 + x)/2, a projector
+circuit reads all zeros with probability |<prep|psi>|^2, and each is a
+Binomial(shots, p) draw.
 """
 
 from __future__ import annotations
@@ -96,25 +96,6 @@ def ansatz_state(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# statevector engine: op|v> per decomposition descriptor
-
-
-def _apply_operator(op: deco.Operator, n: int, v: np.ndarray) -> np.ndarray:
-    """op|v> for one decomposition descriptor (n = grid points per axis)."""
-    if isinstance(op, ToeplitzSpec):
-        return classical_toeplitz_matvec(op, v)
-    if isinstance(op, deco.ProjectorPair):
-        out = np.zeros_like(v)
-        for i, j in op.pairs:
-            out[i] += v[j]
-            if op.symmetrize and i != j:
-                out[j] += v[i]
-        return out
-    perm, sign = deco.word_permutation(op.letters, n)
-    return sign * v[perm]
-
-
-# ---------------------------------------------------------------------------
 # cost functions
 
 
@@ -165,8 +146,8 @@ class Cost:
             )
         if shots is not None and shots < 1:
             raise ShotCountZero("shots must be >= 1")
-        # Exact mode measures nothing the shot circuits could not; shot mode
-        # reads each preparation's probability against the state it prepares.
+        # Each projector preparation's state, and each band's (coefficient,
+        # power) pairs in drawing order, keyed by id: a ToeplitzSpec is unhashable.
         self._bell_states = {
             term.op: [
                 (run_statevector(prep), sign)
@@ -174,6 +155,11 @@ class Cost:
             ]
             for term in g_terms.terms
             if isinstance(term.op, deco.ProjectorPair)
+        }
+        self._shifts = {
+            id(term.op): circulant_expectation_terms(embed_in_circulant(term.op))
+            for term in a_terms.terms + g_terms.terms
+            if isinstance(term.op, ToeplitzSpec)
         }
         self.a_terms, self.g_terms, self.b = a_terms, g_terms, b
         self.ansatz, self.shots, self.seed = ansatz, shots, int(seed)
@@ -185,38 +171,40 @@ class Cost:
     def report(self, params: np.ndarray) -> tuple[float, list[TermReport]]:
         """The cost and one report row per term, the overlap <b|A|psi> last."""
         seed = self.seed + 7919 * next(self._evals)
-        n, psi = self.a_terms.n, ansatz_state(self.ansatz, params)
+        psi = ansatz_state(self.ansatz, params)
         if self.shots is None:
-            return self._energy(
-                lambda op: np.vdot(self.b, _apply_operator(op, n, psi)),
-                lambda op: np.vdot(psi, _apply_operator(op, n, psi)),
-            )
+            return self._sampled(psi)
         rng = np.random.default_rng(seed)
         shots = self.shots
         return self._sampled(psi, lambda p: rng.binomial(shots, np.clip(p, 0.0, 1.0)) / shots)
 
-    def _sampled(self, psi: np.ndarray, draw) -> tuple[float, list[TermReport]]:
-        """``_energy`` with each circuit estimation drawn as draw(p), the
-        estimated probability of an outcome whose exact probability is p."""
+    def _sampled(self, psi: np.ndarray, draw=None) -> tuple[float, list[TermReport]]:
+        """``_energy`` from the circuits' estimations, each drawn as draw(p),
+        the estimated probability of an outcome whose exact probability is p,
+        or without ``draw`` taken at its exact value."""
         n, b = self.a_terms.n, self.b
-        pad = np.zeros_like(psi)
-        b_pad, psi_pad = np.concatenate([b, pad]), np.concatenate([psi, pad])
+        prob = (lambda p: p) if draw is None else draw  # a projector circuit's all-zeros outcome
 
         def test(z: complex) -> complex:
             """Hadamard tests of Re z and Im z: ancilla bias 2 p0 - 1."""
+            if draw is None:
+                return complex(z)
             re, im = (2.0 * draw((1.0 + x) / 2.0) - 1.0 for x in (z.real, z.imag))
             return complex(re, im)
 
         def shift(left: np.ndarray, power: int) -> complex:
             """<left|L^power|psi> on the zero-padded circulant register."""
-            return test(np.vdot(left, np.roll(psi_pad, power)))
+            if power >= 0:
+                return test(np.vdot(left[power:], psi[: n - power]))
+            return test(np.vdot(left[: n + power], psi[-power:]))
 
-        def shift_terms(spec: ToeplitzSpec) -> list[tuple[complex, int]]:
-            return circulant_expectation_terms(embed_in_circulant(spec))
+        def word(left: np.ndarray, op: deco.TensorWord) -> complex:
+            perm, sign = deco.word_permutation(op.letters, n)
+            return test(np.vdot(left, sign * psi[perm]))
 
         def cross(op: deco.Operator) -> complex:
             if isinstance(op, ToeplitzSpec):
-                return sum(coeff * shift(b_pad, power) for coeff, power in shift_terms(op))
+                return sum(coeff * shift(b, power) for coeff, power in self._shifts[id(op)])
             if isinstance(op, deco.ProjectorPair):
                 amp = cache(lambda j: test(psi[j]))  # <j|psi>, one bracket per amplitude
                 total = 0.0 + 0.0j
@@ -225,22 +213,22 @@ class Cost:
                     if op.symmetrize and i != j:
                         total += np.conj(b[j]) * amp(i)
                 return total
-            return test(np.vdot(b, _apply_operator(op, n, psi)))
+            return word(b, op)
 
         def same(op: deco.Operator) -> complex:
             if isinstance(op, ToeplitzSpec):
                 # <psi|L^-p|psi> = conj<psi|L^p|psi>: one bracket per |power|
-                by_power = {power: coeff for coeff, power in shift_terms(op)}
+                by_power = {power: coeff for coeff, power in self._shifts[id(op)]}
                 total = complex(by_power.get(0, 0.0))
                 for power in sorted({abs(p) for p in by_power} - {0}):
-                    z = shift(psi_pad, power)
+                    z = shift(psi, power)
                     total += by_power.get(power, 0.0) * z + by_power.get(-power, 0.0) * np.conj(z)
                 return total
             if isinstance(op, deco.ProjectorPair):
                 # one all-zeros probability |<prep|psi>|^2 per preparation circuit
                 states = self._bell_states[op]
-                return complex(sum(sign * draw(abs(np.vdot(st, psi)) ** 2) for st, sign in states))
-            return test(np.vdot(psi, _apply_operator(op, n, psi)))
+                return complex(sum(sign * prob(abs(np.vdot(st, psi)) ** 2) for st, sign in states))
+            return word(psi, op)
 
         return self._energy(cross, same)
 

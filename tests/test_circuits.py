@@ -89,9 +89,10 @@ def test_gate_qubit_validation():
 def test_circuit_inverse_composes_to_identity():
     rng = np.random.default_rng(4)
     circ = Circuit(3)
-    circ.h(0).ry(0.7, 1).rz(-1.1, 2).cnot(0, 1).cz(1, 2).phase(0.3, 0)
+    circ.h(0).x(2).ry(0.7, 1).cnot(0, 1).phase(0.3, 0)
     circ.cphase(1.9, 0, 2).s(1).sdg(2)
     circ.block((0, 1), circuit_unitary(Circuit(2).h(0).cnot(0, 1)))
+    circ.cblock(2, (0,), circuit_unitary(Circuit(1).h(0)))
     total = Circuit(3).extend(circ).extend(circ.inverse())
     np.testing.assert_allclose(circuit_unitary(total), np.eye(8), atol=1e-12)
 

@@ -31,13 +31,24 @@ def run(argv):
         (["solve-poisson"], dict(DIRICHLET, qubits_per_axis=1), 2),
         (["toeplitz", "solve"], {"n": 1, "coeffs": {"0": 1}}, 2),
         (["toeplitz", "matvec"], {"n": float("inf"), "coeffs": {"0": 1}}, 2),
+        (["toeplitz", "solve"], {"n": 8.7, "coeffs": {"0": 2, "1": -1}}, 2),
+        (["toeplitz", "matvec"], {"n": True, "coeffs": {"0": 1}}, 2),
+        (["solve-poisson"], dict(DIRICHLET, dimension=True), 2),
+        (["solve-poisson"], dict(DIRICHLET, dimension=1.5), 2),
+        (["solve-poisson"], dict(DIRICHLET, qubits_per_axis=2.5), 2),
+        (["solve-poisson"], dict(DIRICHLET, dimension=2, qubits_per_axis=True), 2),
+        (["verify", "--out", "{tmp}/file/out"], None, 2),
     ],
     ids=["singular-band", "depth-0", "restarts-0", "seed-negative", "verify-seed-negative",
          "config-not-object", "rhs-nan", "rhs-infinity", "1d-one-qubit", "band-size-1",
-         "band-size-infinity"],
+         "band-size-infinity", "band-size-fraction", "band-size-boolean", "dimension-boolean",
+         "dimension-fraction", "qubits-fraction", "qubits-boolean", "verify-out-below-file"],
 )
 def test_bad_input_exit_code(tmp_path, capsys, argv, payload, code):
-    argv = argv + ["--out", str(tmp_path / "out")]
+    (tmp_path / "file").write_text("a regular file\n")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
     if payload is not None:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(payload))

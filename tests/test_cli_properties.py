@@ -23,6 +23,14 @@ JUNK = st.one_of(
 NUMBERS = st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0))
 # bad vectors: non-finite entries, or the wrong length
 BAD_VECTORS = st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=5)
+# integer fields hold JSON integers: anything else is rejected, never truncated
+INTEGER_FIELDS = ("n", "dimension", "qubits_per_axis")
+
+
+def not_integer(value: int):
+    """A bool, or ``value`` as a float, bare or plus a fraction: both truncate
+    back to ``value``."""
+    return st.one_of(st.booleans(), st.sampled_from([0.7, 0.5, 0.0]).map(lambda f: value + f))
 
 
 def vectors(n: int):
@@ -34,15 +42,22 @@ def vectors(n: int):
 
 def corrupted(payload: dict, vector_key: str):
     """The payload as it is (half the time), or with one fault: a key
-    missing, a value of the wrong type, or a bad vector."""
+    missing, a value of the wrong type, a bad vector, or an integer field
+    that is not an integer."""
     keys = st.sampled_from(sorted(payload))
+    integer_keys = st.sampled_from([key for key in INTEGER_FIELDS if key in payload])
+    non_integers = integer_keys.flatmap(
+        lambda key: not_integer(payload[key]).map(lambda v: {**payload, key: v})
+    )
     return st.one_of(
+        st.just(payload),
         st.just(payload),
         st.just(payload),
         st.just(payload),
         keys.map(lambda key: {k: v for k, v in payload.items() if k != key}),
         st.tuples(keys, JUNK).map(lambda kv: {**payload, kv[0]: kv[1]}),
         BAD_VECTORS.map(lambda vec: {**payload, vector_key: vec}),
+        non_integers,
     )
 
 
@@ -107,5 +122,7 @@ def test_any_configuration_ends_in_a_documented_code(case, top_level, shots):
         config.write_text(text)
         argv = command + ["--config", str(config), "--out", str(Path(tmp) / "out"),
                           "--restarts", "1", "--depth", "1", "--shots", shots]
-        assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_CAP,
-                                  cli.EXIT_DEGENERATE)
+        code = cli.main(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_CAP, cli.EXIT_DEGENERATE)
+    if any(isinstance(payload.get(key), (bool, float)) for key in INTEGER_FIELDS):
+        assert code == cli.EXIT_CONFIG, payload

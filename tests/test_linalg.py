@@ -1,7 +1,10 @@
 """Oracle checks: DFT conventions, shift matrices, solves, state helpers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from vqtoeplitz.linalg import (
     DimensionMismatch,
@@ -18,6 +21,7 @@ from vqtoeplitz.linalg import (
     num_qubits,
     random_state,
 )
+from vqtoeplitz.poisson import PoissonProblem, build_poisson, prepare_b
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -98,6 +102,23 @@ def test_dense_solve_residual_property():
         b = rng.standard_normal(n)
         x = dense_solve(a, b)
         assert np.max(np.abs(a @ x - b)) <= 1e-10 * np.max(np.abs(b))
+
+
+def test_dense_solve_real_matrix_complex_rhs():
+    # every CLI solve pairs a real matrix with a complex right-hand side: the
+    # solve keeps the matrix real, so it holds the matrix and one LU copy
+    problem = PoissonProblem(2, 4)
+    a, b = build_poisson(problem), prepare_b(problem) * np.exp(0.3j)
+    complex_solve = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b)
+    tracemalloc.start()
+    try:
+        x = dense_solve(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.dtype == complex
+    assert np.max(np.abs(x - complex_solve)) <= 1e-12
+    assert peak < 1.5 * a.nbytes
 
 
 def test_dft_small_cases():
