@@ -1,9 +1,9 @@
 """Variational matrix-vector multiplication with a banded Toeplitz matrix.
 
 The target is the normalized image T|v0>.  The cost is the linear-system
-cost with G = I: A is the adjoint of T_s = T/||T v0|| and b = v0, so
+cost with G = I: A is the transpose of T_s = T/||T v0|| and b = v0, so
 
-    E(theta) = 1 - |<v0|T_s^dag|psi>|^2 = 1 - |<psi|T_s|v0>|^2,
+    E(theta) = 1 - <v0|T_s^T|psi>^2 = 1 - <psi|T_s|v0>^2,
 
 one banded bracket per evaluation, vanishing exactly at the target state.
 """
@@ -22,7 +22,7 @@ v0 = normalize(rng.standard_normal(8))
 target = matvec_target_state(spec, v0)
 
 print("band coefficients:", {l: spec.coeffs[l] for l in sorted(spec.coeffs)})
-print("classical image T v0 (normalized):", np.round(target.real, 4))
+print("classical image T v0 (normalized):", np.round(target, 4))
 
 ansatz = AnsatzSpec(num_qubits=3, depth=3)
 cost = make_matvec_cost(spec, v0, ansatz)

@@ -25,7 +25,7 @@ from vqtoeplitz.toeplitz import phase_spectrum, phase_spectrum_diagonal
 n = 4
 spec = ToeplitzSpec(n, {-1: -1.0, 0: 2.0, 1: -1.0})
 print("Toeplitz matrix:")
-print(toeplitz_to_dense(spec).real.astype(int))
+print(toeplitz_to_dense(spec).astype(int))
 
 embedded = embed_in_circulant(spec)
 dense = circulant_to_dense(embedded).real

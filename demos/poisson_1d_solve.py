@@ -37,7 +37,7 @@ print(f"\nbracket estimations per cost evaluation: "
 
 # classical reference solution
 x = normalize(dense_solve(a, np.asarray(b)))
-print("\nexact solution state:", np.round(x.real, 4))
+print("\nexact solution state:", np.round(x, 4))
 
 ansatz = AnsatzSpec(num_qubits=3, depth=2)  # 6 parameters
 cost = Cost(a_terms, a2_terms, b, ansatz)  # what make_linear_system_cost(problem, ansatz) builds
@@ -49,7 +49,7 @@ trace = optimize(cost, ansatz, config, reference_state=x)
 psi = ansatz_state(ansatz, trace.best_params)
 print(f"best cost      {trace.best_cost:.3e}   (restart {trace.best_restart})")
 print(f"fidelity |<x|psi>| = {fidelity(x, psi):.8f}")
-print("optimized state:   ", np.round(psi.real, 4))
+print("optimized state:   ", np.round(psi, 4))
 
 # cost/fidelity history of the winning restart, thinned for display
 history = [r for r in trace.records if r.restart == trace.best_restart]
@@ -58,6 +58,6 @@ for rec in history[:: max(1, len(history) // 10)]:
     print(f"{rec.iteration:5d}   {rec.cost:.3e}    {rec.fidelity:.6f}")
 
 # per-term values and contributions at the optimum
-print("\nterm                      value                 contribution")
+print("\nterm                      value       contribution")
 for row in cost.report(trace.best_params)[1]:
-    print(f"{row.label:24s}  {row.value.real:+.6f}{row.value.imag:+.6f}j  {row.contribution.real:+.3e}")
+    print(f"{row.label:24s}  {row.value:+.6f}  {row.contribution:+.3e}")

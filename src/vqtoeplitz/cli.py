@@ -32,7 +32,7 @@ from .linalg import (
     num_qubits,
 )
 from .poisson import build_poisson, prepare_b, problem_from_dict
-from .toeplitz import NotBanded, ToeplitzSpec, toeplitz_to_dense
+from .toeplitz import ToeplitzSpec, toeplitz_to_dense
 from .vqa import (
     AnsatzSpec,
     Cost,
@@ -105,8 +105,11 @@ def cmd_solve_poisson(args, payload: dict, shots):
     """Setup of ``solve-poisson``: problem -> term lists -> pre-solve gate ->
     cost -> dense reference solution."""
     problem = problem_from_dict(payload)
-    if problem.total_dim > MAX_DENSE_DIM:  # before the term lists, which grow as d^2
-        raise DimensionOverflow(f"problem dimension {problem.total_dim} exceeds the dense cap")
+    cap = MAX_DENSE_DIM.bit_length() - 1
+    if problem.total_qubits > cap:  # before n**d and the term lists, which grow as d^2
+        raise DimensionOverflow(
+            f"problem needs {problem.total_qubits} qubits; the dense cap is {cap}"
+        )
     term_lists = default_term_lists(problem)
     err = verify_problem_terms(problem, term_lists)
     if not err <= VERIFY_TOL:
@@ -114,7 +117,7 @@ def cmd_solve_poisson(args, payload: dict, shots):
     ansatz = AnsatzSpec(problem.total_qubits, depth=args.depth)
     b = prepare_b(problem)
     cost = Cost(*term_lists, b, ansatz, shots=shots, seed=args.seed)
-    reference = normalize(dense_solve(build_poisson(problem), np.asarray(b)))
+    reference = normalize(dense_solve(build_poisson(problem), b))
     return cost, ansatz, reference
 
 
@@ -122,10 +125,7 @@ def cmd_toeplitz(args, payload: dict, shots):
     """Setup of ``toeplitz solve|matvec``: band -> vector -> cost -> classical
     reference (the dense solve, or the normalized image T|v0>)."""
     coeffs = _object(payload["coeffs"], "coeffs")
-    coeffs = {int(k): complex(v) if isinstance(v, str) else v for k, v in coeffs.items()}
-    spec = ToeplitzSpec(payload["n"], coeffs)
-    if not spec.is_real:
-        raise NotBanded("cost circuits support real bands only")
+    spec = ToeplitzSpec(payload["n"], {int(k): v for k, v in coeffs.items()})
     if spec.n > MAX_DENSE_DIM:
         raise DimensionOverflow(f"size {spec.n} exceeds the dense cap")
     vec = _vector(payload, "rhs" if args.mode == "solve" else "v0", spec.n)

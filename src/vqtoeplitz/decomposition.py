@@ -20,8 +20,8 @@ and sparse matrices are read off it.
 
 Besides the matrix-level term count (``len(term_list.terms)``) the module
 reports the bracket-level count (``count_terms``): the number of distinct
-circuit estimations once <psi|W^dagger|psi> is folded onto the complex
-conjugate of <psi|W|psi> and constants multiplying the identity are read
+circuit estimations once <psi|W^T|psi> is folded onto <psi|W|psi> (equal for
+a real state and a real W) and constants multiplying the identity are read
 off for free.  Both tallies are asserted in the tests.
 """
 
@@ -68,9 +68,9 @@ Operator = ToeplitzSpec | ProjectorPair | TensorWord
 
 @dataclass(frozen=True)
 class DecompositionTerm:
-    coefficient: complex
+    coefficient: float
     op: Operator
-    conjugate_pair: bool = False  # evaluates as coeff*W + conj(coeff)*W^dagger
+    conjugate_pair: bool = False  # evaluates as coeff*(W + W^T)
 
     def __post_init__(self):
         if self.coefficient == 0:
@@ -237,7 +237,7 @@ _SITE_LETTERS: tuple[tuple[float, str], ...] = (
     (-0.5, "XZ"),
 )
 
-# Same-site expansion of A^2 - (25/4) I: four conjugate-folded words plus
+# Same-site expansion of A^2 - (25/4) I: four transpose-folded words plus
 # eight self-paired ones.  The Z2 word is retained literally (it equals the
 # identity; its 1/4 weight is exactly what the 25/4 constant leaves over).
 _SAME_SITE_PAIRED: tuple[tuple[float, str], ...] = (
@@ -282,7 +282,7 @@ def decompose_dirichlet_dd_squared(dimension: int, n: int) -> TermList:
     (16 combinations) or one letter on a single site of the pair with the
     partner's identity weight 2 (8 combinations); same-site terms are the
     twelve-word expansion of the 1-D square with shift-containing words
-    folded onto their conjugates.
+    folded onto their transposes.
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
@@ -315,33 +315,14 @@ def decompose_dirichlet_dd_squared(dimension: int, n: int) -> TermList:
 
 
 def decompose_banded_gram(spec: ToeplitzSpec) -> TermList:
-    """T^dagger T of a banded Toeplitz matrix: autocorrelation band minus
-    corner projector pairs.
-
-    Restricted to real bands so every corner entry stays a plain
-    symmetric pair (the circuit set has no phased-pair measurement).
-    """
-    if not spec.is_real:
-        raise NotImplementedError("gram decomposition supports real bands only")
+    """T^T T of a banded Toeplitz matrix: autocorrelation band minus corner
+    projector pairs, one symmetrized pair per mirrored off-diagonal entry."""
     if 2 * spec.band >= spec.n:
         raise NotBanded(f"squared band 2K={2*spec.band} no longer fits size {spec.n}")
     terms: list[DecompositionTerm] = [DecompositionTerm(1.0, band_autocorrelation(spec))]
-    corners = corner_corrections(spec)
-    seen: set[tuple[int, int]] = set()
-    for (i, j), value in sorted(corners.items()):
-        if (i, j) in seen:
-            continue
-        if i == j:
-            terms.append(DecompositionTerm(-value, ProjectorPair(((i, i),))))
-            seen.add((i, j))
-        else:
-            mirrored = corners.get((j, i), 0.0)
-            if abs(mirrored - np.conj(value)) > 1e-12:
-                raise NotImplementedError("corner correction is not a symmetric pair")
-            terms.append(
-                DecompositionTerm(-value.real, ProjectorPair(((i, j),), symmetrize=True))
-            )
-            seen.update({(i, j), (j, i)})
+    for (i, j), value in sorted(corner_corrections(spec).items()):
+        if i <= j:
+            terms.append(DecompositionTerm(-value, ProjectorPair(((i, j),), symmetrize=i < j)))
     return TermList(
         tuple(terms), n=spec.n, dimension=1, target="banded-gram",
     )
@@ -351,17 +332,16 @@ def decompose_banded_gram(spec: ToeplitzSpec) -> TermList:
 # reconstruction and counting
 
 
-def _op_sparse(op: Operator, n: int, dimension: int, dtype) -> scipy.sparse.csr_matrix:
+def _op_sparse(op: Operator, n: int, dimension: int) -> scipy.sparse.csr_matrix:
     if isinstance(op, ToeplitzSpec):
         offsets = sorted(op.coeffs, key=lambda l: -l)
-        band = {l: (t.real if dtype is float else t) for l, t in op.coeffs.items()}
         # scipy.diags offset k is the k-th superdiagonal; our offset l>0 is sub.
         return scipy.sparse.diags(
-            [np.full(n - abs(l), band[l]) for l in offsets],
+            [np.full(n - abs(l), op.coeffs[l]) for l in offsets],
             [-l for l in offsets],
             shape=(n, n),
             format="csr",
-            dtype=dtype,
+            dtype=float,
         )
     if isinstance(op, ProjectorPair):
         rows, cols, vals = [], [], []
@@ -374,35 +354,24 @@ def _op_sparse(op: Operator, n: int, dimension: int, dtype) -> scipy.sparse.csr_
                 cols.append(i)
                 vals.append(1.0)
         dim = n**dimension
-        return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=dtype)
+        return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=float)
     if isinstance(op, TensorWord):
         perm, sign = word_permutation(op.letters, n)
         return scipy.sparse.csr_matrix(
-            (sign, (np.arange(perm.size), perm)), shape=(perm.size, perm.size), dtype=dtype
+            (sign, (np.arange(perm.size), perm)), shape=(perm.size, perm.size), dtype=float
         )
     raise TypeError(f"unknown operator descriptor {type(op).__name__}")
-
-
-def _is_real(term_list: TermList) -> bool:
-    for term in term_list.terms:
-        if complex(term.coefficient).imag != 0:
-            return False
-        if isinstance(term.op, ToeplitzSpec) and not term.op.is_real:
-            return False
-    return True
 
 
 def reconstruct_sparse(term_list: TermList) -> scipy.sparse.csr_matrix:
     """Coefficient-weighted sparse sum of all terms (the verification route)."""
     dim = term_list.total_dim
-    dtype = float if _is_real(term_list) else complex
-    acc = scipy.sparse.csr_matrix((dim, dim), dtype=dtype)
+    acc = scipy.sparse.csr_matrix((dim, dim))
     for term in term_list.terms:
-        mat = _op_sparse(term.op, term_list.n, term_list.dimension, dtype)
-        coeff = term.coefficient.real if dtype is float else term.coefficient
-        acc = acc + coeff * mat
+        mat = _op_sparse(term.op, term_list.n, term_list.dimension)
+        acc = acc + term.coefficient * mat
         if term.conjugate_pair:
-            acc = acc + np.conj(coeff) * mat.conjugate().T.tocsr()
+            acc = acc + term.coefficient * mat.T.tocsr()
     return acc
 
 
@@ -418,10 +387,11 @@ def count_terms(term_list: TermList) -> int:
     """Number of distinct bracket estimations the list implies.
 
     Banded terms expand into one bracket per occupied offset; when bra and
-    ket coincide, opposite offsets fold onto complex conjugates and the
-    zero offset multiplies the identity.  Projector pairs and non-identity
-    tensor words cost one estimation each; the all-identity word is free
-    against identical states and one overlap bracket otherwise.
+    ket coincide, opposite offsets share one bracket (<psi|L^-l|psi> =
+    <psi|L^l|psi> for a real state) and the zero offset multiplies the
+    identity.  Projector pairs and non-identity tensor words cost one
+    estimation each; the all-identity word is free against identical
+    states and one overlap bracket otherwise.
     """
     total = 0
     for term in term_list.terms:
@@ -450,7 +420,7 @@ def _op_to_jsonable(op: Operator) -> dict:
         return {
             "kind": "toeplitz-band",
             "n": op.n,
-            "coeffs": {str(l): [t.real, t.imag] for l, t in sorted(op.coeffs.items())},
+            "coeffs": {str(l): [t, 0.0] for l, t in sorted(op.coeffs.items())},
         }
     if isinstance(op, ProjectorPair):
         return {
@@ -466,8 +436,7 @@ def _op_to_jsonable(op: Operator) -> dict:
 def termlist_to_jsonable(term_list: TermList) -> list[dict]:
     out = []
     for term in term_list.terms:
-        coeff = complex(term.coefficient)
-        entry = {"coeff": [coeff.real, coeff.imag], "op": _op_to_jsonable(term.op)}
+        entry = {"coeff": [float(term.coefficient), 0.0], "op": _op_to_jsonable(term.op)}
         if term.conjugate_pair:
             entry["conjugate_pair"] = True
         out.append(entry)

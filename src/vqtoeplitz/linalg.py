@@ -77,15 +77,8 @@ def dense_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     pivots = np.abs(np.diag(lu))
     if pivots.min() < PIVOT_TOL:
         raise SingularMatrix(f"pivot magnitude {pivots.min():.3e} below {PIVOT_TOL}")
-    # A real matrix solves a complex b's real and imaginary parts as two real
-    # columns with the one LU, instead of copying itself to complex twice.
-    split = np.iscomplexobj(b) and not np.iscomplexobj(a)
-    rhs = np.stack([b.real, b.imag], axis=-1).reshape(len(b), -1) if split else b
-    x = scipy.linalg.lu_solve((lu, piv), rhs)
-    error = a @ x - rhs
-    if split:  # recombine the real columns: x = x_re + 1j x_im
-        x, error = (v.reshape(*b.shape, 2) @ np.array([1.0, 1j]) for v in (x, error))
-    residual = np.max(np.abs(error))
+    x = scipy.linalg.lu_solve((lu, piv), b)
+    residual = np.max(np.abs(a @ x - b))
     if residual > 1e-10 * max(np.max(np.abs(b)), 1e-300):
         raise SingularMatrix(f"solve residual {residual:.3e} too large; matrix ill-conditioned")
     return x
@@ -121,8 +114,8 @@ def fidelity(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
-    """Scale to unit 2-norm, preserving direction."""
-    v = np.asarray(v, dtype=complex)
+    """Scale to unit 2-norm, preserving direction (and a real vector real)."""
+    v = np.asarray(v)
     norm = np.linalg.norm(v)
     if norm <= 1e-14:
         raise ZeroVector("cannot normalize a (near-)zero vector")

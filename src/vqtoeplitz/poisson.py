@@ -83,9 +83,10 @@ class PoissonProblem:
             raise UnsupportedProblem("unified boundary conditions are 1-D only")
         if not isinstance(self.rhs, str):
             self.rhs = np.asarray(self.rhs, dtype=float)
-            if self.rhs.shape != (self.total_dim,):
+            qubits = self.rhs.size.bit_length() - 1  # by qubit count: n**d may be huge
+            if qubits != self.total_qubits or self.rhs.shape != (1 << qubits,):
                 raise UnsupportedProblem(
-                    f"rhs length {self.rhs.shape} != grid size {self.total_dim}"
+                    f"rhs shape {self.rhs.shape} does not fit the {self.total_qubits}-qubit grid"
                 )
             if not np.all(np.isfinite(self.rhs)):
                 raise UnsupportedProblem("rhs must be finite")
@@ -166,7 +167,7 @@ def prepare_b(problem: PoissonProblem) -> np.ndarray:
     """Normalized right-hand-side state over all N*d qubits."""
     if isinstance(problem.rhs, str):
         dim = problem.total_dim
-        return np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
+        return np.full(dim, 1.0 / np.sqrt(dim))
     return normalize(problem.rhs)
 
 

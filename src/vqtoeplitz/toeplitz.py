@@ -31,18 +31,21 @@ class NotBanded(ValueError):
 
 
 class ToeplitzSpec:
-    """Banded Toeplitz matrix given by offset -> coefficient.
+    """Banded Toeplitz matrix given by offset -> real coefficient.
 
     Offset l > 0 is the l-th subdiagonal (entry (i, i-l) reading (i,k) = t_{i-k}),
-    l < 0 the superdiagonals.  Zero coefficients are dropped.  The band
-    width is guarded by K <= 2*(log2 n)**2, a concrete polylog budget.
+    l < 0 the superdiagonals.  Zero coefficients are dropped; a complex one
+    is rejected.  The band width is guarded by K <= 2*(log2 n)**2, a
+    concrete polylog budget.
     """
 
-    def __init__(self, n: int, coeffs: dict[int, complex]):
+    def __init__(self, n: int, coeffs: dict[int, float]):
         self.n = integer(n, "n")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        self.coeffs = {int(l): complex(t) for l, t in coeffs.items() if complex(t) != 0}
+        if any(isinstance(t, (complex, np.complexfloating)) for t in coeffs.values()):
+            raise ValueError("coefficients must be real")
+        self.coeffs = {int(l): float(t) for l, t in coeffs.items() if float(t) != 0}
         if not all(np.isfinite(t) for t in self.coeffs.values()):
             raise ValueError("coefficients must be finite")
         k = self.band
@@ -56,10 +59,6 @@ class ToeplitzSpec:
     def band(self) -> int:
         """K, the largest occupied |offset|."""
         return max((abs(l) for l in self.coeffs), default=0)
-
-    @property
-    def is_real(self) -> bool:
-        return all(t.imag == 0 for t in self.coeffs.values())
 
     def __repr__(self):
         band = {l: self.coeffs[l] for l in sorted(self.coeffs)}
@@ -99,7 +98,7 @@ class PhaseSpectrum:
 
 
 def toeplitz_to_dense(spec: ToeplitzSpec) -> np.ndarray:
-    out = np.zeros((spec.n, spec.n), dtype=complex)
+    out = np.zeros((spec.n, spec.n))
     for l, t in spec.coeffs.items():
         idx = np.arange(spec.n - abs(l))
         if l >= 0:
@@ -182,7 +181,7 @@ def classical_toeplitz_matvec(spec: ToeplitzSpec, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v)
     if v.shape[0] != spec.n:
         raise DimensionMismatch(f"vector length {v.shape[0]} != n = {spec.n}")
-    out = np.zeros(spec.n, dtype=complex)
+    out = np.zeros(spec.n, dtype=np.result_type(v, float))
     for l, t in spec.coeffs.items():
         if l >= 0:
             out[l:] += t * v[: spec.n - l]
@@ -192,32 +191,32 @@ def classical_toeplitz_matvec(spec: ToeplitzSpec, v: np.ndarray) -> np.ndarray:
 
 
 def band_autocorrelation(spec: ToeplitzSpec) -> ToeplitzSpec:
-    """Band of the Gram matrix T^dagger T, ignoring finite-size corners.
+    """Band of the Gram matrix T^T T, ignoring finite-size corners.
 
     The coefficients are the discrete autocorrelation of the band,
-    u_m = sum_l conj(t_l) t_{l+m}; the band width doubles to 2K.  The
+    u_m = sum_l t_l t_{l+m}; the band width doubles to 2K.  The
     dropped corner entries are produced by ``corner_corrections``.
     """
-    out: dict[int, complex] = {}
+    out: dict[int, float] = {}
     for m in range(-2 * spec.band, 2 * spec.band + 1):
-        u = sum(np.conj(t) * spec.coeffs.get(l + m, 0.0) for l, t in spec.coeffs.items())
+        u = sum(t * spec.coeffs.get(l + m, 0.0) for l, t in spec.coeffs.items())
         if u != 0:
             out[m] = u
     return ToeplitzSpec(spec.n, out)
 
 
-def corner_corrections(spec: ToeplitzSpec) -> dict[tuple[int, int], complex]:
-    """Entries of the corner matrix M with T^dagger T = Toeplitz(autocorr) - M.
+def corner_corrections(spec: ToeplitzSpec) -> dict[tuple[int, int], float]:
+    """Entries of the corner matrix M with T^T T = Toeplitz(autocorr) - M.
 
     The Toeplitz extension of the Gram band overcounts products whose
     summation index runs off the matrix; the excess is supported on the
-    K x K corners:
+    K x K corners, and M is symmetric:
 
-        M[i, j]             = sum_{k>=1} conj(t_{-k-i}) t_{-k-j}   (top left)
-        M[n-1-i, n-1-j]    += sum_{k>=1} conj(t_{k+i}) t_{k+j}     (bottom right)
+        M[i, j]             = sum_{k>=1} t_{-k-i} t_{-k-j}   (top left)
+        M[n-1-i, n-1-j]    += sum_{k>=1} t_{k+i} t_{k+j}     (bottom right)
     """
     n, band = spec.n, spec.band
-    out: dict[tuple[int, int], complex] = {}
+    out: dict[tuple[int, int], float] = {}
 
     def add(i, j, val):
         if val != 0:
@@ -226,13 +225,13 @@ def corner_corrections(spec: ToeplitzSpec) -> dict[tuple[int, int], complex]:
     for i in range(band):
         for j in range(band):
             top = sum(
-                np.conj(spec.coeffs.get(-k - i, 0.0)) * spec.coeffs.get(-k - j, 0.0)
+                spec.coeffs.get(-k - i, 0.0) * spec.coeffs.get(-k - j, 0.0)
                 for k in range(1, band + 1)
             )
             add(i, j, top)
             bottom = sum(
-                np.conj(spec.coeffs.get(k + i, 0.0)) * spec.coeffs.get(k + j, 0.0)
+                spec.coeffs.get(k + i, 0.0) * spec.coeffs.get(k + j, 0.0)
                 for k in range(1, band + 1)
             )
             add(n - 1 - i, n - 1 - j, bottom)
-    return {ij: complex(v) for ij, v in out.items() if v != 0}
+    return {ij: float(v) for ij, v in out.items() if v != 0}

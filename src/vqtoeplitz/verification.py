@@ -142,7 +142,7 @@ def _decomposition_checks(rng, inject_fault: str | None) -> list[CheckResult]:
                 tuple(bad), a2_terms.n, a2_terms.dimension, a2_terms.target,
                 a2_terms.bra_equals_ket,
             )
-        dense = toeplitz_to_dense(ToeplitzSpec(n, {-1: -1, 0: 2, 1: -1})).real
+        dense = toeplitz_to_dense(ToeplitzSpec(n, {-1: -1, 0: 2, 1: -1}))
         dense[0, 0] -= c
         dense[n - 1, n - 1] -= d
         err_uni = max(err_uni, np.max(np.abs(deco.reconstruct_dense(a_terms) - dense)))
@@ -239,7 +239,7 @@ def _check_cost_vs_dense(samples: int, rng) -> CheckResult:
             params = rng.uniform(0, 2 * np.pi, ansatz.param_count)
             energy = cost(params)
             psi = ansatz_state(ansatz, params)
-            expected = float(np.real(psi.conj() @ h @ psi))
+            expected = float(psi @ h @ psi)
             err = max(err, abs(energy - expected))
     return CheckResult("vqa/cost-vs-dense-hamiltonian", float(err), 1e-10)
 

@@ -2,27 +2,28 @@
 
 Every cost is one functional of two decompositions and a state b:
 
-    E(theta) = Re<psi|G|psi> - |<b|A|psi>|^2
+    E(theta) = <psi|G|psi> - <b|A|psi>^2
 
-assembled term by term by ``Cost``.  The linear-system costs take G = A^2
-(Poisson) or G = T^dag T (banded system); the matrix-vector cost for a
-banded T and input state v0 is the G = I case with A = T_s^dag,
-T_s = T/||T v0||, and b = v0:
+assembled term by term by ``Cost``.  Everything here is real: the bands, the
+projector pairs and the words are real matrices, b is a real vector, and the
+Ry + CNOT ansatz has real amplitudes, so every bracket is a real number.
+The linear-system costs take G = A^2 (Poisson) or G = T^T T (banded system);
+the matrix-vector cost for a banded T and input state v0 is the G = I case
+with A = T_s^T, T_s = T/||T v0||, and b = v0:
 
-    E(theta) = 1 - |<v0|T_s^dag|psi>|^2 = 1 - |<psi|T_s|v0>|^2
+    E(theta) = 1 - <v0|T_s^T|psi>^2 = 1 - <psi|T_s|v0>^2
 
 which vanishes exactly when |psi> matches the normalized image T|v0>.
 
 Both modes prepare the ansatz statevector once per evaluation and
 evaluate the same estimations, the units of the gate-level circuits
-(``circuits``): one Hadamard-test bracket per shift power of a band's
-circulant embedding, one per distinct amplitude of a projector pair's
-cross term, one per tensor word, one all-zeros probability per projector
-preparation circuit.  Exact mode takes each estimation at its exact value.
-Shot mode draws each from its exact probability: the ancilla of a Hadamard
-test of x = Re z or Im z reads 0 with probability (1 + x)/2, a projector
-circuit reads all zeros with probability |<prep|psi>|^2, and each is a
-Binomial(shots, p) draw.
+(``circuits``): one Hadamard-test bracket per shift power of a band, one
+per distinct amplitude of a projector pair's cross term, one per tensor
+word, one all-zeros probability per projector preparation circuit.  Exact
+mode takes each estimation at its exact value.  Shot mode draws each from
+its exact probability: the ancilla of the Hadamard test of a bracket x reads
+0 with probability (1 + x)/2, a projector circuit reads all zeros with
+probability <prep|psi>^2, and each is a Binomial(shots, p) draw.
 """
 
 from __future__ import annotations
@@ -39,12 +40,7 @@ from . import decomposition as deco
 from .circuits import Circuit, ShotCountZero, bell_pair_circuits, run_statevector
 from .linalg import DimensionMismatch, dense_solve, fidelity, normalize, num_qubits
 from .poisson import PoissonProblem, boundary_coefficients, build_poisson, prepare_b
-from .toeplitz import (
-    ToeplitzSpec,
-    circulant_expectation_terms,
-    classical_toeplitz_matvec,
-    embed_in_circulant,
-)
+from .toeplitz import ToeplitzSpec, classical_toeplitz_matvec
 
 
 class LengthMismatch(ValueError):
@@ -92,7 +88,8 @@ def ansatz_circuit(spec: AnsatzSpec, params: np.ndarray) -> Circuit:
 
 
 def ansatz_state(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
-    return run_statevector(ansatz_circuit(spec, params))
+    """The ansatz statevector, real (float64): Ry and CNOT are real gates."""
+    return np.ascontiguousarray(run_statevector(ansatz_circuit(spec, params)).real)
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +99,8 @@ def ansatz_state(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
 @dataclass
 class TermReport:
     label: str
-    value: complex
-    contribution: complex
+    value: float
+    contribution: float
 
 
 def default_term_lists(problem: PoissonProblem) -> tuple[deco.TermList, deco.TermList]:
@@ -128,7 +125,8 @@ def _label(op: deco.Operator) -> str:
 
 
 class Cost:
-    """E(theta) = Re<psi|G|psi> - |<b|A|psi>|^2 from the term lists of A and G.
+    """E(theta) = <psi|G|psi> - <b|A|psi>^2 from the term lists of A and G
+    and a real state b.
 
     The k-th evaluation (k = 0, 1, ...; ``__call__`` and ``report`` alike)
     samples with seed + 7919*k, so a fresh cost's first evaluation is the
@@ -136,7 +134,9 @@ class Cost:
     """
 
     def __init__(self, a_terms, g_terms, b, ansatz: AnsatzSpec, shots=None, seed=0):
-        b = np.asarray(b)
+        if np.iscomplexobj(b):
+            raise ValueError("b must be a real vector")
+        b = np.asarray(b, dtype=float)
         qubits = num_qubits(b)
         grids = [(terms.n, terms.dimension) for terms in (a_terms, g_terms)]
         if a_terms.total_dim != b.size or ansatz.num_qubits != qubits or grids[0] != grids[1]:
@@ -146,20 +146,14 @@ class Cost:
             )
         if shots is not None and shots < 1:
             raise ShotCountZero("shots must be >= 1")
-        # Each projector preparation's state, and each band's (coefficient,
-        # power) pairs in drawing order, keyed by id: a ToeplitzSpec is unhashable.
+        # each projector preparation's (real) state
         self._bell_states = {
             term.op: [
-                (run_statevector(prep), sign)
+                (run_statevector(prep).real, sign)
                 for prep, sign in bell_pair_circuits(term.op, qubits)
             ]
             for term in g_terms.terms
             if isinstance(term.op, deco.ProjectorPair)
-        }
-        self._shifts = {
-            id(term.op): circulant_expectation_terms(embed_in_circulant(term.op))
-            for term in a_terms.terms + g_terms.terms
-            if isinstance(term.op, ToeplitzSpec)
         }
         self.a_terms, self.g_terms, self.b = a_terms, g_terms, b
         self.ansatz, self.shots, self.seed = ansatz, shots, int(seed)
@@ -185,76 +179,71 @@ class Cost:
         n, b = self.a_terms.n, self.b
         prob = (lambda p: p) if draw is None else draw  # a projector circuit's all-zeros outcome
 
-        def test(z: complex) -> complex:
-            """Hadamard tests of Re z and Im z: ancilla bias 2 p0 - 1."""
-            if draw is None:
-                return complex(z)
-            re, im = (2.0 * draw((1.0 + x) / 2.0) - 1.0 for x in (z.real, z.imag))
-            return complex(re, im)
+        def test(x: float) -> float:
+            """The Hadamard test of the bracket x: ancilla bias 2 p0 - 1."""
+            return float(x) if draw is None else 2.0 * draw((1.0 + x) / 2.0) - 1.0
 
-        def shift(left: np.ndarray, power: int) -> complex:
+        def shift(left: np.ndarray, power: int) -> float:
             """<left|L^power|psi> on the zero-padded circulant register."""
             if power >= 0:
-                return test(np.vdot(left[power:], psi[: n - power]))
-            return test(np.vdot(left[: n + power], psi[-power:]))
+                return test(np.dot(left[power:], psi[: n - power]))
+            return test(np.dot(left[: n + power], psi[-power:]))
 
-        def word(left: np.ndarray, op: deco.TensorWord) -> complex:
+        def word(left: np.ndarray, op: deco.TensorWord) -> float:
             perm, sign = deco.word_permutation(op.letters, n)
-            return test(np.vdot(left, sign * psi[perm]))
+            return test(np.dot(left, sign * psi[perm]))
 
-        def cross(op: deco.Operator) -> complex:
+        def cross(op: deco.Operator) -> float:
             if isinstance(op, ToeplitzSpec):
-                return sum(coeff * shift(b, power) for coeff, power in self._shifts[id(op)])
+                return sum(coeff * shift(b, power) for power, coeff in op.coeffs.items())
             if isinstance(op, deco.ProjectorPair):
                 amp = cache(lambda j: test(psi[j]))  # <j|psi>, one bracket per amplitude
-                total = 0.0 + 0.0j
+                total = 0.0
                 for i, j in op.pairs:
-                    total += np.conj(b[i]) * amp(j)
+                    total += b[i] * amp(j)
                     if op.symmetrize and i != j:
-                        total += np.conj(b[j]) * amp(i)
+                        total += b[j] * amp(i)
                 return total
             return word(b, op)
 
-        def same(op: deco.Operator) -> complex:
+        def same(op: deco.Operator) -> float:
             if isinstance(op, ToeplitzSpec):
-                # <psi|L^-p|psi> = conj<psi|L^p|psi>: one bracket per |power|
-                by_power = {power: coeff for coeff, power in self._shifts[id(op)]}
-                total = complex(by_power.get(0, 0.0))
-                for power in sorted({abs(p) for p in by_power} - {0}):
-                    z = shift(psi, power)
-                    total += by_power.get(power, 0.0) * z + by_power.get(-power, 0.0) * np.conj(z)
+                # <psi|L^-p|psi> = <psi|L^p|psi>: one bracket per |power|
+                c = op.coeffs
+                total = c.get(0, 0.0)
+                for power in sorted({abs(p) for p in c} - {0}):
+                    total += (c.get(power, 0.0) + c.get(-power, 0.0)) * shift(psi, power)
                 return total
             if isinstance(op, deco.ProjectorPair):
-                # one all-zeros probability |<prep|psi>|^2 per preparation circuit
+                # one all-zeros probability <prep|psi>^2 per preparation circuit
                 states = self._bell_states[op]
-                return complex(sum(sign * prob(abs(np.vdot(st, psi)) ** 2) for st, sign in states))
+                return sum(sign * prob(np.dot(st, psi) ** 2) for st, sign in states)
             return word(psi, op)
 
         return self._energy(cross, same)
 
     def _energy(self, cross, same) -> tuple[float, list[TermReport]]:
-        """<psi|G|psi> - |<b|A|psi>|^2 from the term values cross(op) =
+        """<psi|G|psi> - <b|A|psi>^2 from the term values cross(op) =
         <b|op|psi> and same(op) = <psi|op|psi>, one report row per term."""
         report: list[TermReport] = []
-        linear = 0.0 + 0.0j
+        linear = 0.0
         for term in self.a_terms.terms:
             value = cross(term.op)
             contribution = term.coefficient * value
             linear += contribution
             report.append(TermReport(_label(term.op), value, contribution))
-        square = 0.0 + 0.0j
+        square = 0.0
         for term in self.g_terms.terms:
             if isinstance(term.op, deco.TensorWord) and term.op.is_identity:
-                value = 1.0 + 0.0j
+                value = 1.0
             else:
                 value = same(term.op)
-            contribution = term.coefficient * value
-            if term.conjugate_pair:
-                contribution = contribution + np.conj(contribution)
+            # a conjugate pair W + W^T: <psi|W^T|psi> = <psi|W|psi>
+            contribution = (2 if term.conjugate_pair else 1) * term.coefficient * value
             square += contribution
             report.append(TermReport(_label(term.op), value, contribution))
-        report.append(TermReport("<b|A|psi>", linear, -abs(linear) ** 2))
-        return float(np.real(square) - abs(linear) ** 2), report
+        report.append(TermReport("<b|A|psi>", linear, -linear**2))
+        return float(square - linear**2), report
 
 
 def make_linear_system_cost(problem: PoissonProblem, ansatz, shots=None, seed=0) -> Cost:
@@ -270,15 +259,15 @@ def _band_terms(spec: ToeplitzSpec) -> deco.TermList:
 
 
 def make_toeplitz_system_cost(spec: ToeplitzSpec, b, ansatz, shots=None, seed=0) -> Cost:
-    """The banded-system cost: A = T, G = T^dag T as the autocorrelation band
+    """The banded-system cost: A = T, G = T^T T as the autocorrelation band
     minus corner projector corrections, b normalized."""
-    b_vec = normalize(np.asarray(b, dtype=complex))
-    return Cost(_band_terms(spec), deco.decompose_banded_gram(spec), b_vec, ansatz, shots, seed)
+    gram = deco.decompose_banded_gram(spec)
+    return Cost(_band_terms(spec), gram, normalize(b), ansatz, shots, seed)
 
 
 def _matvec_scale(spec: ToeplitzSpec, v0) -> tuple[np.ndarray, float]:
     """(normalized v0, ||T v0||)."""
-    v0 = normalize(np.asarray(v0, dtype=complex))
+    v0 = normalize(v0)
     image_norm = np.linalg.norm(classical_toeplitz_matvec(spec, v0))
     if image_norm <= 1e-12:
         raise ZeroImage("T annihilates v0; the target state is undefined")
@@ -286,14 +275,14 @@ def _matvec_scale(spec: ToeplitzSpec, v0) -> tuple[np.ndarray, float]:
 
 
 def make_matvec_cost(spec: ToeplitzSpec, v0, ansatz, shots=None, seed=0) -> Cost:
-    """E(theta) = 1 - |<psi|T_s|v0>|^2 with T_s = T/||T v0||: the cost with
-    A = T_s^dag, G = I and b = v0, since <v0|T_s^dag|psi> = conj(<psi|T_s|v0>)."""
+    """E(theta) = 1 - <psi|T_s|v0>^2 with T_s = T/||T v0||: the cost with
+    A = T_s^T, G = I and b = v0, since <v0|T_s^T|psi> = <psi|T_s|v0>."""
     v0, image_norm = _matvec_scale(spec, v0)
-    adjoint = ToeplitzSpec(spec.n, {-l: np.conj(t) / image_norm for l, t in spec.coeffs.items()})
+    transpose = ToeplitzSpec(spec.n, {-l: t / image_norm for l, t in spec.coeffs.items()})
     identity = deco.TermList(
         (deco.DecompositionTerm(1.0, deco.TensorWord(("I",))),), spec.n, 1, "identity"
     )
-    return Cost(_band_terms(adjoint), identity, v0, ansatz, shots, seed)
+    return Cost(_band_terms(transpose), identity, v0, ansatz, shots, seed)
 
 
 def matvec_target_state(spec: ToeplitzSpec, v0: np.ndarray) -> np.ndarray:
@@ -303,11 +292,11 @@ def matvec_target_state(spec: ToeplitzSpec, v0: np.ndarray) -> np.ndarray:
 
 
 def dense_hamiltonian(problem: PoissonProblem) -> np.ndarray:
-    """Oracle H = A^dag (I - |b><b|) A for cross-checking the cost."""
+    """Oracle H = A^T (I - |b><b|) A for cross-checking the cost."""
     a = build_poisson(problem)
     b = prepare_b(problem)
-    proj = np.eye(problem.total_dim) - np.outer(b, b.conj())
-    return a.conj().T @ proj @ a
+    proj = np.eye(problem.total_dim) - np.outer(b, b)
+    return a.T @ proj @ a
 
 
 def solution_fidelity(problem: PoissonProblem, ansatz: AnsatzSpec, params: np.ndarray) -> float:

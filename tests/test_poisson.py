@@ -148,6 +148,14 @@ def test_rhs_must_be_finite():
             problem_from_dict({"dimension": 1, "qubits_per_axis": 2, "rhs": [1.0, bad, 1.0, 1.0]})
 
 
+def test_rhs_length_checked_by_qubit_count():
+    # n**d is never formed, so a huge dimension is refused at once
+    for dimension, rhs in ((1, np.ones(3)), (1, np.ones(8)), (1, np.ones((2, 2))), (1, []),
+                           (10**12, np.ones(4))):
+        with pytest.raises(UnsupportedProblem, match="qubit grid"):
+            PoissonProblem(dimension, 2, rhs=rhs)
+
+
 def test_unified_requires_1d():
     with pytest.raises(UnsupportedProblem):
         PoissonProblem(2, 2, BoundaryCondition.unified(1, 1, 1, 1))
@@ -155,6 +163,7 @@ def test_unified_requires_1d():
 
 def test_prepare_b_uniform():
     b = prepare_b(PoissonProblem(1, 3))
+    assert b.dtype == np.float64
     np.testing.assert_allclose(b, np.full(8, 1 / np.sqrt(8)), atol=1e-15)
 
 

@@ -61,9 +61,14 @@ def test_spec_validation():
     with pytest.raises(NotBanded):
         ToeplitzSpec(256, {129: 1.0})  # polylog band guard: 2*(log2 256)^2 = 128
     assert ToeplitzSpec(4, {0: 0.0, 1: 2.0}).coeffs == {1: 2.0}
-    for bad in (float("nan"), float("inf"), complex(1.0, float("nan"))):
+    for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             ToeplitzSpec(4, {0: 2.0, 1: bad})
+    for bad in (complex(1.0, float("nan")), 1.0 + 1.0j, 2.0 + 0.0j, np.complex128(3.0)):
+        with pytest.raises(ValueError, match="real"):
+            ToeplitzSpec(4, {0: 2.0, 1: bad})
+    coeffs = ToeplitzSpec(4, {0: 2, 1: np.float32(-1)}).coeffs
+    assert all(type(t) is float for t in coeffs.values())
 
 
 def test_embedding_first_column():

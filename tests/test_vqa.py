@@ -18,9 +18,10 @@ from vqtoeplitz.circuits import (
     controlled_word_circuit,
     hadamard_test,
     projector_expectation,
+    run_statevector,
     state_prep_circuit,
 )
-from vqtoeplitz.linalg import DimensionMismatch, basis_state, fidelity, normalize, random_state
+from vqtoeplitz.linalg import DimensionMismatch, basis_state, fidelity, normalize
 from vqtoeplitz.poisson import BoundaryCondition, PoissonProblem, prepare_b
 from vqtoeplitz.toeplitz import (
     ToeplitzSpec,
@@ -68,6 +69,21 @@ def test_ansatz_norm_and_param_count():
     assert spec.param_count == 12
     state = ansatz_state(spec, rng.uniform(0, 2 * np.pi, 12))
     assert abs(np.linalg.norm(state) - 1) <= 1e-12
+
+
+def test_ansatz_amplitudes_are_real():
+    # the premise of the real cost: Ry and CNOT keep every amplitude real, so
+    # ansatz_state is the float64 real part of the gate-level simulation
+    rng = np.random.default_rng(79)
+    for qubits in range(1, 13):
+        for depth in (1, 3):
+            spec = AnsatzSpec(qubits, depth)
+            params = rng.uniform(0, 2 * np.pi, spec.param_count)
+            reference = run_statevector(ansatz_circuit(spec, params))
+            assert np.all(reference.imag == 0)
+            state = ansatz_state(spec, params)
+            assert state.dtype == np.float64
+            np.testing.assert_array_equal(state, reference.real)
 
 
 def test_ansatz_length_mismatch():
@@ -193,17 +209,25 @@ def test_matvec_cost_matches_dense_overlap():
 
 
 def test_bracket_engine_same_state_asymmetric_band():
-    # shot mode: unpaired offsets fall back to conjugated positive-power brackets
+    # shot mode: offsets +p and -p share the one bracket <psi|L^p|psi>
     rng = np.random.default_rng(19)
     for coeffs in ({1: 2.0}, {-1: 3.0}, {-2: 1.0, 0: 1.5, 1: -0.5}):
         spec = ToeplitzSpec(8, coeffs)
         band = deco.TermList((deco.DecompositionTerm(1.0, spec),), 8, 1, "band")
-        psi = random_state(3, rng)
-        cost = Cost(band, band, random_state(3, rng), AnsatzSpec(3, 1), shots=1000)
+        psi = normalize(rng.standard_normal(8))
+        cost = Cost(band, band, normalize(rng.standard_normal(8)), AnsatzSpec(3, 1), shots=1000)
         _, (cross, same, _) = cost._sampled(psi, lambda p: p)
         dense = toeplitz_to_dense(spec)
-        assert abs(same.value - psi.conj() @ dense @ psi) <= 1e-10
-        assert abs(cross.value - cost.b.conj() @ dense @ psi) <= 1e-10
+        assert abs(same.value - psi @ dense @ psi) <= 1e-10
+        assert abs(cross.value - cost.b @ dense @ psi) <= 1e-10
+
+
+def test_cost_rejects_complex_b():
+    a_terms, a2_terms = deco.decompose_dirichlet_1d(8)
+    b = prepare_b(PoissonProblem(1, 3))
+    for bad in (b * np.exp(0.3j), b.astype(complex)):
+        with pytest.raises(ValueError, match="real"):
+            Cost(a_terms, a2_terms, bad, AnsatzSpec(3, 1))
 
 
 def test_matvec_zero_image():
@@ -281,18 +305,19 @@ ENGINE_FAMILIES = {
 }
 
 
-def _gate_bracket(op, n, left, right, shots=None, seeds=None) -> complex:
-    """<left|op|right> from Hadamard tests (real + imag) on the paper's circuits;
-    with ``shots`` each test samples with the next seed from ``seeds``."""
+def _gate_bracket(op, n, left, right, shots=None, seeds=None) -> float:
+    """The real <left|op|right> from Hadamard tests on the paper's circuits.
+    With ``shots`` only the real-part test runs, sampling with the next seed
+    from ``seeds``; without, the imaginary-part test checks that it is 0."""
     num_qubits = left.shape[0].bit_length() - 1
 
     def test(controlled, n_system, left_u, right_u):
-        re, im = (
-            hadamard_test(n_system, controlled, left_u, right_u, part, shots,
-                          next(seeds) if shots else 0)
-            for part in ("real", "imag")
-        )
-        return complex(re, im)
+        if shots:
+            return hadamard_test(n_system, controlled, left_u, right_u, "real", shots, next(seeds))
+        re, im = (hadamard_test(n_system, controlled, left_u, right_u, part)
+                  for part in ("real", "imag"))
+        assert abs(im) <= 1e-10
+        return re
 
     def prep(state):
         return circuit_unitary(state_prep_circuit(state))
@@ -300,17 +325,17 @@ def _gate_bracket(op, n, left, right, shots=None, seeds=None) -> complex:
     if isinstance(op, ToeplitzSpec):
         pad = np.zeros(op.n)
         left_u, right_u = prep(np.concatenate([left, pad])), prep(np.concatenate([right, pad]))
-        return sum(
-            coeff * test(controlled_Ll_circuit(2 * op.n, power % (2 * op.n)), num_qubits + 1,
-                         left_u, right_u)
+        return sum(  # the circulant column of a real band is real
+            coeff.real * test(controlled_Ll_circuit(2 * op.n, power % (2 * op.n)),
+                              num_qubits + 1, left_u, right_u)
             for coeff, power in circulant_expectation_terms(embed_in_circulant(op))
         )
     if isinstance(op, deco.ProjectorPair):
-        # sum_(i,j) conj(left_i) <j|right>, each amplitude one basis-state bracket
+        # sum_(i,j) left_i <j|right>, each amplitude one basis-state bracket
         entries = list(op.pairs) + [(j, i) for i, j in op.pairs if op.symmetrize and i != j]
         identity = Circuit(num_qubits + 1)
         return sum(
-            np.conj(left[i])
+            left[i]
             * test(identity, num_qubits, circuit_unitary(basis_prep_circuit(num_qubits, j)),
                    prep(right))
             for i, j in entries
@@ -432,18 +457,19 @@ UNIFIED = BoundaryCondition.unified(1.0, 2.0, 3.0, 1.0)
 
 
 @pytest.mark.parametrize(
-    "problems",
+    "problems, expected",
     [
-        [PoissonProblem(1, q) for q in (3, 4, 5, 6)],
-        [PoissonProblem(1, q, UNIFIED) for q in (3, 4, 5, 6)],
-        [PoissonProblem(2, q) for q in (2, 3)],
-        [PoissonProblem(3, q) for q in (1, 2)],
+        ([PoissonProblem(1, q) for q in (3, 4, 5, 6)], 7),
+        ([PoissonProblem(1, q, UNIFIED) for q in (3, 4, 5, 6)], 13),
+        ([PoissonProblem(2, q) for q in (2, 3)], 57),
+        ([PoissonProblem(3, q) for q in (1, 2)], 121),
     ],
     ids=["dirichlet-1d", "unified-1d", "dirichlet-2d", "dirichlet-3d"],
 )
-def test_shot_estimations_independent_of_n(problems):
+def test_shot_estimations_independent_of_n(problems, expected):
     # the paper's claim, on what both modes execute: the number of circuit
-    # estimations per evaluation does not grow with the grid
+    # estimations per evaluation does not grow with the grid (one Hadamard
+    # test per bracket, one probability per projector preparation)
     counts = []
     for problem in problems:
         ansatz = AnsatzSpec(problem.total_qubits, 1)
@@ -456,7 +482,7 @@ def test_shot_estimations_independent_of_n(problems):
 
         cost._sampled(ansatz_state(ansatz, np.full(ansatz.param_count, 0.3)), draw)
         counts.append(len(draws))
-    assert counts == [counts[0]] * len(problems)
+    assert counts == [expected] * len(problems)
 
 
 def test_shot_distribution_matches_gate_level_sampling():
@@ -473,11 +499,11 @@ def test_shot_distribution_matches_gate_level_sampling():
         def same(op):
             if isinstance(op, deco.ProjectorPair):
                 return projector_expectation(op, psi, shots, next(seeds))
-            # opposite shift powers fold onto conjugates: one bracket per |power|
-            total = complex(op.coeffs.get(0, 0.0))
+            # opposite shift powers share one bracket per |power|
+            total = op.coeffs.get(0, 0.0)
             for power in sorted({abs(l) for l in op.coeffs} - {0}):
-                z = _gate_bracket(ToeplitzSpec(n, {power: 1.0}), n, psi, psi, shots, seeds)
-                total += op.coeffs.get(power, 0.0) * z + op.coeffs.get(-power, 0.0) * np.conj(z)
+                x = _gate_bracket(ToeplitzSpec(n, {power: 1.0}), n, psi, psi, shots, seeds)
+                total += (op.coeffs.get(power, 0.0) + op.coeffs.get(-power, 0.0)) * x
             return total
 
         return cost._energy(lambda op: _gate_bracket(op, n, cost.b, psi, shots, seeds), same)[0]
