@@ -3,10 +3,11 @@
 The package solves discretized Poisson equations and general banded
 Toeplitz systems / matrix-vector products on a simulated quantum device:
 the operator and its square are decomposed into a banded Toeplitz part
-(evaluated through a circulant embedding, a QFT pair, and single-qubit
-phase towers) plus a handful of projector pairs and tensor-word unitaries,
-and the resulting cost function is minimized over a hardware-efficient
-ansatz.  Everything is verifiable against an exact dense oracle.
+(a sum of cyclic-shift powers on a padded register, each a QFT pair
+around single-qubit phase towers) plus a handful of projector pairs and
+tensor-word unitaries, and the resulting cost function is minimized over
+a hardware-efficient ansatz.  Everything is verifiable against an exact
+dense oracle.
 """
 
 from .linalg import (
@@ -35,20 +36,14 @@ from .poisson import (
     poisson_sparse,
     prepare_b,
     problem_from_dict,
-    problem_from_json,
 )
 from .toeplitz import (
-    CirculantSpec,
     NotBanded,
     PhaseSpectrum,
     ToeplitzSpec,
     band_autocorrelation,
-    circulant_expectation_terms,
-    circulant_spectrum,
-    circulant_to_dense,
     classical_toeplitz_matvec,
     corner_corrections,
-    embed_in_circulant,
     phase_spectrum,
     toeplitz_to_dense,
 )
@@ -75,7 +70,6 @@ from .circuits import (
     ShotResult,
     UnsupportedPattern,
     bell_pair_circuits,
-    bracket,
     circuit_unitary,
     controlled_Ll_circuit,
     hadamard_test,

@@ -148,18 +148,6 @@ class Circuit:
                 raise ValueError(f"cannot invert gate {gate.tag}")
         return inv
 
-    def to_json_records(self) -> list[dict]:
-        """Plain gate records for inspection/cross-tool comparison."""
-        records = []
-        for gate in self.gates:
-            rec: dict = {"gate": gate.tag, "qubits": list(gate.qubits)}
-            if gate.angle is not None:
-                rec["angle"] = gate.angle
-            if gate.matrix is not None and gate.tag in ("block", "cblock"):
-                rec["block_dim"] = int(gate.matrix.shape[0])
-            records.append(rec)
-        return records
-
 
 # ---------------------------------------------------------------------------
 # simulation
@@ -427,22 +415,6 @@ def hadamard_test(
     for bits, count in result.counts.items():
         bias += count if bits[0] == "0" else -count  # ancilla is the top bit
     return bias / shots
-
-
-def bracket(
-    n_system: int,
-    controlled: Circuit,
-    state_prep_left: "Circuit | np.ndarray",
-    state_prep_right: "Circuit | np.ndarray",
-    shots: int | None = None,
-    seed: int = 0,
-) -> complex:
-    """Full complex <left|U|right> from a real and an imaginary test."""
-    re = hadamard_test(n_system, controlled, state_prep_left, state_prep_right, "real", shots, seed)
-    im = hadamard_test(
-        n_system, controlled, state_prep_left, state_prep_right, "imag", shots, seed + 1
-    )
-    return complex(re, im)
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results, ok = run_verification(seed=args.seed, inject_fault=args.inject_fault)
+    results, ok = run_verification(seed=args.seed)
     report = {
         "checks": [r.to_jsonable() for r in results],
         "term_counts": term_count_table(),
@@ -232,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("verify", help="run the invariant suite and write a report")
     vp.add_argument("--seed", type=_seed, default=0)
     vp.add_argument("--out", default="out")
-    vp.add_argument("--inject-fault", default=None, help=argparse.SUPPRESS)
     vp.set_defaults(func=cmd_verify)
     return parser
 

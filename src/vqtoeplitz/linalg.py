@@ -42,7 +42,7 @@ class SingularMatrix(ValueError):
 
 
 class ZeroVector(ValueError):
-    """A vector with (numerically) zero norm cannot be normalized."""
+    """A vector whose entries are all zero cannot be normalized."""
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -114,12 +114,16 @@ def fidelity(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
-    """Scale to unit 2-norm, preserving direction (and a real vector real)."""
-    v = np.asarray(v)
-    norm = np.linalg.norm(v)
-    if norm <= 1e-14:
-        raise ZeroVector("cannot normalize a (near-)zero vector")
-    return v / norm
+    """Scale to unit 2-norm, preserving direction (and a real vector real).
+
+    Dividing by max|v| first keeps the norm from underflowing or
+    overflowing, so any vector with a nonzero entry normalizes.
+    """
+    scale = np.max(np.abs(v), initial=0.0)
+    if scale == 0:
+        raise ZeroVector("cannot normalize a zero vector")
+    v = np.asarray(v) / scale
+    return v / np.linalg.norm(v)
 
 
 def integer(value, what: str) -> int:

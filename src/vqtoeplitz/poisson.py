@@ -13,7 +13,6 @@ d one-dimensional copies.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,7 +198,3 @@ def problem_from_dict(payload: dict) -> PoissonProblem:
     except (KeyError, TypeError) as exc:
         raise UnsupportedProblem(f"malformed problem description: {exc}") from exc
 
-
-def problem_from_json(path: str) -> PoissonProblem:
-    with open(path) as fh:
-        return problem_from_dict(json.load(fh))

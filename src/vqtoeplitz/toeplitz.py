@@ -1,24 +1,15 @@
-"""Banded Toeplitz and circulant machinery.
+"""Banded Toeplitz machinery.
 
-A banded Toeplitz matrix with coefficients ``t_l`` on offsets |l| <= K is
-embedded into a 2n x 2n circulant whose top-left block reproduces it
-exactly.  Circulants are diagonalized by the DFT, so every bracket
-<u|C|v> splits into brackets of cyclic-shift powers L^l, and each L^l is a
-tower of single-qubit phase gates between a QFT pair.
-
-First-column / offset bookkeeping for the embedding of ``t``:
-
-    column[0..n-1]  = t_0, t_1, ..., t_{n-1}
-    column[n]       = 0
-    column[n+1..]   = t_{-(n-1)}, ..., t_{-1}
-
-The spectrum of a circulant with first column ``c`` is sqrt(n) * (F @ c)
-(equivalently ``n * ifft(c)``); the sqrt(n) factor belongs to the unitary
-DFT normalization and is pinned by the spectral-identity test.
+A banded Toeplitz matrix T with coefficients ``t_l`` on offsets |l| <= K
+is the top-left n x n block of sum_l t_l L^l, with L the cyclic down-shift
+on 2n points: the padding keeps the wrap-around of each shift out of the
+block.  Each L^l is ``circuits.controlled_Ll_circuit``, a tower of
+single-qubit phase gates (``phase_spectrum``) between a QFT pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +42,7 @@ class ToeplitzSpec:
         k = self.band
         if k >= n:
             raise NotBanded(f"offset {k} out of range for size {n}")
-        guard = 2.0 * np.log2(n) ** 2 if n > 1 else 0
+        guard = 2.0 * math.log2(self.n) ** 2  # math.log2 takes an int of any size
         if k > guard:
             raise NotBanded(f"band K={k} exceeds polylog guard 2*(log2 n)^2 = {guard:.1f}")
 
@@ -70,18 +61,6 @@ class ToeplitzSpec:
             and self.n == other.n
             and self.coeffs == other.coeffs
         )
-
-
-@dataclass(frozen=True)
-class CirculantSpec:
-    """Circulant matrix given by its first column: entry (i, j) = column[(i-j) mod n]."""
-
-    n: int
-    first_column: tuple[complex, ...]
-
-    def __post_init__(self):
-        if len(self.first_column) != self.n:
-            raise DimensionMismatch("first_column length must equal n")
 
 
 @dataclass(frozen=True)
@@ -106,53 +85,6 @@ def toeplitz_to_dense(spec: ToeplitzSpec) -> np.ndarray:
         else:
             out[idx, idx - l] = t
     return out
-
-
-def circulant_to_dense(spec: CirculantSpec) -> np.ndarray:
-    col = np.asarray(spec.first_column, dtype=complex)
-    i = np.arange(spec.n)
-    return col[(i[:, None] - i[None, :]) % spec.n]
-
-
-def circulant_spectrum(spec: CirculantSpec) -> np.ndarray:
-    """Eigenvalues in DFT order: diag(F C F^{-1}) = sqrt(n) * (F @ column)."""
-    col = np.asarray(spec.first_column, dtype=complex)
-    return spec.n * np.fft.ifft(col)
-
-
-def embed_in_circulant(spec: ToeplitzSpec) -> CirculantSpec:
-    """Size-2n circulant whose top-left n x n block is the given Toeplitz matrix."""
-    n = spec.n
-    col = np.zeros(2 * n, dtype=complex)
-    for l, t in spec.coeffs.items():
-        if l >= 0:
-            col[l] = t
-        else:
-            col[2 * n + l] = t
-    return CirculantSpec(2 * n, tuple(col))
-
-
-def circulant_expectation_terms(spec: CirculantSpec) -> list[tuple[complex, int]]:
-    """Nonzero (coefficient, shift power l) pairs of a banded circulant.
-
-    The bracket of the circulant is the coefficient-weighted sum of
-    brackets of L^l.  Negative l is reported as-is; callers realize it as
-    the (n-|l|)-th positive power or, when bra and ket coincide, as the
-    complex conjugate of the positive-power bracket.
-    """
-    col = np.asarray(spec.first_column, dtype=complex)
-    n = spec.n
-    nonzero = [m for m in range(n) if col[m] != 0]
-    band = max((min(m, n - m) for m in nonzero), default=0)
-    if 2 * band >= n:
-        raise NotBanded(f"interior coefficients occupied: band {band} too wide for size {n}")
-    terms: list[tuple[complex, int]] = []
-    for l in range(-band, band + 1):
-        coeff = col[l % n]
-        if coeff != 0:
-            terms.append((complex(coeff), l))
-    terms.sort(key=lambda cl: (abs(cl[1]), -np.sign(cl[1])))
-    return terms
 
 
 def phase_spectrum(n: int, power: int) -> PhaseSpectrum:

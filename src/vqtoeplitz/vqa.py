@@ -310,14 +310,17 @@ def solution_fidelity(problem: PoissonProblem, ansatz: AnsatzSpec, params: np.nd
 # optimization
 
 
+# a restart stops after STALL_WINDOW evaluations without a gain of STALL_TOL
+STALL_WINDOW = 50
+STALL_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     method: str = "nelder-mead"  # "nelder-mead" | "spsa"
     max_iters: int = 2000
     restarts: int = 5
     seed: int = 0
-    stall_window: int = 50
-    stall_tol: float = 1e-8
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -402,7 +405,7 @@ def optimize(
 
         def record(x, value):
             state["evals"] += 1
-            if value < state["best"] - config.stall_tol:
+            if value < state["best"] - STALL_TOL:
                 state["last_improve"] = state["evals"]
             if value < state["best"]:
                 state["best"] = value
@@ -418,7 +421,7 @@ def optimize(
         def wrapped(x):
             value = cost(x)
             record(x, value)
-            if state["evals"] - state["last_improve"] > config.stall_window:
+            if state["evals"] - state["last_improve"] > STALL_WINDOW:
                 raise _StallStop
             if state["evals"] >= config.max_iters:
                 raise _StallStop

@@ -10,7 +10,6 @@ from vqtoeplitz.circuits import (
     UnsupportedPattern,
     basis_prep_circuit,
     bell_pair_circuits,
-    bracket,
     circuit_unitary,
     controlled_Ll_circuit,
     controlled_word_circuit,
@@ -225,8 +224,10 @@ def test_hadamard_test_random_word_unitaries():
         chi = random_state(2, rng)
         u = circuit_unitary(state_prep_circuit(random_state(2, rng)))
         controlled = controlled_word_circuit(2, u)
-        est = bracket(2, controlled, state_prep_circuit(chi), state_prep_circuit(psi))
-        assert abs(est - chi.conj() @ u @ psi) <= 1e-10
+        left, right = state_prep_circuit(chi), state_prep_circuit(psi)
+        re = hadamard_test(2, controlled, left, right, "real")
+        im = hadamard_test(2, controlled, left, right, "imag")
+        assert abs(complex(re, im) - chi.conj() @ u @ psi) <= 1e-10
 
 
 def test_hadamard_test_shot_mode_errors():
@@ -371,11 +372,3 @@ def test_state_prep_exact():
 
 def test_basis_prep():
     np.testing.assert_allclose(run_statevector(basis_prep_circuit(3, 5)), basis_state(3, 5))
-
-
-def test_json_records():
-    circ = Circuit(2).h(0).cphase(0.5, 0, 1).block((0, 1), np.eye(4))
-    records = circ.to_json_records()
-    assert records[0] == {"gate": "h", "qubits": [0]}
-    assert records[1]["gate"] == "cphase" and records[1]["angle"] == 0.5
-    assert records[2]["block_dim"] == 4

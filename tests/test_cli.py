@@ -1,9 +1,11 @@
 """CLI contract: subcommands, artifacts, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
+from vqtoeplitz import decomposition as deco
 from vqtoeplitz.cli import main
 
 DIRICHLET = {
@@ -25,10 +27,29 @@ def read_summary(out_dir):
         return json.load(fh)
 
 
+VERIFY_CHECKS = [
+    "linalg/dft-unitarity",
+    "linalg/shift-diagonalization",
+    "toeplitz/embedding-top-left-block",
+    "toeplitz/spectral-identity",
+    "toeplitz/phase-tower-diagonals",
+    "decompose/dirichlet-1d",
+    "decompose/unified-1d",
+    "decompose/dirichlet-dd",
+    "decompose/bracket-counts",
+    "circuits/qft-vs-dft",
+    "circuits/controlled-shift-blocks",
+    "circuits/phase-tower-circuits",
+    "circuits/projector-pairs",
+    "vqa/cost-vs-dense-hamiltonian",
+]
+
+
 def test_verify_passes(tmp_path):
     out = tmp_path / "v"
     assert main(["verify", "--out", str(out)]) == 0
     report = json.loads((out / "verify-report.json").read_text())
+    assert [check["name"] for check in report["checks"]] == VERIFY_CHECKS
     assert report["all_pass"] is True
     assert all(check["pass"] for check in report["checks"])
     counts = report["term_counts"]
@@ -40,9 +61,19 @@ def test_verify_passes(tmp_path):
     assert report["term_lists"]["dirichlet-1d"][0]["op"]["kind"] == "toeplitz-band"
 
 
-def test_verify_fault_injection(tmp_path, capsys):
+def test_verify_fault_injection(tmp_path, capsys, monkeypatch):
+    decompose = deco.decompose_unified_1d
+
+    def perturbed(n, c, d):
+        # the first coefficient of the square off by 0.1 %
+        a_terms, a2_terms = decompose(n, c, d)
+        first, *rest = a2_terms.terms
+        bad = deco.DecompositionTerm(first.coefficient * 1.001, first.op)
+        return a_terms, dataclasses.replace(a2_terms, terms=(bad, *rest))
+
+    monkeypatch.setattr("vqtoeplitz.verification.deco.decompose_unified_1d", perturbed)
     out = tmp_path / "v"
-    code = main(["verify", "--out", str(out), "--inject-fault", "unified-squared-coeff"])
+    code = main(["verify", "--out", str(out)])
     assert code == 1
     captured = capsys.readouterr()
     assert "decompose/unified-1d" in captured.err
@@ -126,6 +157,28 @@ def test_toeplitz_matvec(tmp_path):
     summary = read_summary(out)
     assert summary["best_fidelity"] > 0.99
     assert summary["best_cost"] < 1e-3
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1e200])
+@pytest.mark.parametrize(
+    "argv, payload, key",
+    [
+        (["solve-poisson"], dict(DIRICHLET, qubits_per_axis=3), "rhs"),
+        (["toeplitz", "matvec"], {"n": 8, "coeffs": {"0": 1.5, "1": -0.5}}, "v0"),
+    ],
+    ids=["poisson-rhs", "matvec-v0"],
+)
+def test_vector_scale_leaves_solve_unchanged(tmp_path, argv, payload, key, scale):
+    # the solve sees only the normalized vector, whatever the scale of its entries
+    results = []
+    for c in (1.0, scale):
+        config = write(tmp_path, "s.json", dict(payload, **{key: [c] * 8}))
+        out = tmp_path / f"out-{c}"
+        assert main(argv + ["--config", config, "--out", str(out),
+                            "--restarts", "1", "--seed", "4"]) == 0
+        summary = read_summary(out)
+        results.append((summary["best_cost"], summary["best_fidelity"]))
+    assert results[1] == results[0]
 
 
 def test_toeplitz_zero_image(tmp_path):

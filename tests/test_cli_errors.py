@@ -39,12 +39,13 @@ def run(argv):
         (["solve-poisson"], dict(DIRICHLET, dimension=2, qubits_per_axis=True), 2),
         (["verify", "--out", "{tmp}/file/out"], None, 2),
         (["solve-poisson"], {"dimension": 2000000, "qubits_per_axis": 1}, 3),
+        (["toeplitz", "solve"], {"n": 10**30, "coeffs": {"0": 2}}, 3),
     ],
     ids=["singular-band", "depth-0", "restarts-0", "seed-negative", "verify-seed-negative",
          "config-not-object", "rhs-nan", "rhs-infinity", "1d-one-qubit", "band-size-1",
          "band-size-infinity", "band-size-fraction", "band-size-boolean", "dimension-boolean",
          "dimension-fraction", "qubits-fraction", "qubits-boolean", "verify-out-below-file",
-         "dimension-two-million"],
+         "dimension-two-million", "band-size-huge"],
 )
 def test_bad_input_exit_code(tmp_path, capsys, argv, payload, code):
     (tmp_path / "file").write_text("a regular file\n")

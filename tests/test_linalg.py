@@ -181,6 +181,10 @@ def test_fidelity_dimension_mismatch():
 def test_normalize_cases():
     np.testing.assert_allclose(normalize([2.0, 0, 0, 0]), basis_state(2, 0), atol=1e-15)
     np.testing.assert_allclose(normalize(np.ones(4)), np.full(4, 0.5), atol=1e-15)
+    # the norm of these underflows or overflows; the scaled norm does not
+    for scale in (1e-200, 1e200):
+        np.testing.assert_allclose(normalize(scale * np.ones(4)), np.full(4, 0.5), atol=1e-15)
+        np.testing.assert_allclose(normalize([0.0, -scale]), [0.0, -1.0], atol=1e-15)
 
 
 def test_normalize_matvec_example():

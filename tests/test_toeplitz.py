@@ -1,4 +1,4 @@
-"""Banded Toeplitz machinery: embedding, spectra, phase towers, matvec."""
+"""Banded Toeplitz machinery: shift-power sums, phase towers, matvec, Gram band."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,11 @@ import pytest
 from vqtoeplitz.linalg import DimensionMismatch, build_unit_circulant, dft_matrix, random_state
 from vqtoeplitz.poisson import PoissonProblem, build_poisson_1d
 from vqtoeplitz.toeplitz import (
-    CirculantSpec,
     NotBanded,
     ToeplitzSpec,
     band_autocorrelation,
-    circulant_expectation_terms,
-    circulant_spectrum,
-    circulant_to_dense,
     classical_toeplitz_matvec,
     corner_corrections,
-    embed_in_circulant,
     phase_spectrum,
     phase_spectrum_diagonal,
     toeplitz_to_dense,
@@ -30,6 +25,14 @@ def random_banded(n, rng, max_band=3):
     coeffs = {l: float(rng.standard_normal()) for l in range(-band, band + 1)}
     coeffs[0] = coeffs.get(0, 0.0) + 1.0
     return ToeplitzSpec(n, coeffs)
+
+
+def shift_sum(spec):
+    """sum_l t_l L^l, L the cyclic down-shift on 2n points: T is its top-left block."""
+    shift = build_unit_circulant(2 * spec.n)
+    return sum(
+        t * np.linalg.matrix_power(shift, l % (2 * spec.n)) for l, t in spec.coeffs.items()
+    )
 
 
 def test_dense_tridiagonal_matches_poisson_operator():
@@ -72,22 +75,20 @@ def test_spec_validation():
 
 
 def test_embedding_first_column():
-    emb = embed_in_circulant(ToeplitzSpec(4, TRIDIAG))
-    np.testing.assert_allclose(
-        np.asarray(emb.first_column).real, [2, -1, 0, 0, 0, 0, 0, -1], atol=0
+    np.testing.assert_array_equal(
+        shift_sum(ToeplitzSpec(4, TRIDIAG))[:, 0], [2, -1, 0, 0, 0, 0, 0, -1]
     )
 
 
 def test_embedding_identity_case():
-    emb = embed_in_circulant(ToeplitzSpec(4, {0: 3.5}))
-    np.testing.assert_array_equal(circulant_to_dense(emb).real, 3.5 * np.eye(8))
+    np.testing.assert_array_equal(shift_sum(ToeplitzSpec(4, {0: 3.5})), 3.5 * np.eye(8))
 
 
 def test_embedding_block_structure():
     n = 4
     spec = ToeplitzSpec(n, TRIDIAG)
-    dense = circulant_to_dense(embed_in_circulant(spec)).real
-    t = toeplitz_to_dense(spec).real
+    dense = shift_sum(spec)
+    t = toeplitz_to_dense(spec)
     np.testing.assert_array_equal(dense[:n, :n], t)
     np.testing.assert_array_equal(dense[n:, n:], t)
     np.testing.assert_array_equal(dense[:n, n:], dense[n:, :n])
@@ -102,56 +103,36 @@ def test_embedding_exactness_random():
     for _ in range(200):
         n = int(rng.choice([4, 8, 16]))
         spec = random_banded(n, rng)
-        dense = circulant_to_dense(embed_in_circulant(spec))
-        np.testing.assert_array_equal(dense[:n, :n], toeplitz_to_dense(spec))
-
-
-def test_expectation_terms_examples():
-    emb = embed_in_circulant(ToeplitzSpec(4, TRIDIAG))
-    assert circulant_expectation_terms(emb) == [(2 + 0j, 0), (-1 + 0j, 1), (-1 + 0j, -1)]
-
-    emb2 = embed_in_circulant(ToeplitzSpec(8, SQUARED_BAND))
-    assert circulant_expectation_terms(emb2) == [
-        (6 + 0j, 0),
-        (-4 + 0j, 1),
-        (-4 + 0j, -1),
-        (1 + 0j, 2),
-        (1 + 0j, -2),
-    ]
-
-    assert circulant_expectation_terms(CirculantSpec(4, (1.0, 0, 0, 0))) == [(1 + 0j, 0)]
-
-
-def test_expectation_terms_not_banded():
-    with pytest.raises(NotBanded):
-        circulant_expectation_terms(CirculantSpec(8, tuple(np.ones(8))))
+        np.testing.assert_array_equal(shift_sum(spec)[:n, :n], toeplitz_to_dense(spec))
 
 
 def test_expectation_identity_random_states():
+    # on a zero-padded state the band's bracket is the sum of its shift-power brackets
     rng = np.random.default_rng(13)
     for _ in range(50):
         n = int(rng.choice([4, 8, 16]))
         spec = random_banded(n, rng)
-        emb = embed_in_circulant(spec)
-        dense = circulant_to_dense(emb)
         shift = build_unit_circulant(2 * n)
-        psi = random_state((2 * n).bit_length() - 1, rng)
+        psi = random_state(n.bit_length() - 1, rng)
+        padded = np.concatenate([psi, np.zeros(n)])
         total = sum(
-            c * (psi.conj() @ np.linalg.matrix_power(shift, l % (2 * n)) @ psi)
-            for c, l in circulant_expectation_terms(emb)
+            t * (padded.conj() @ np.linalg.matrix_power(shift, l % (2 * n)) @ padded)
+            for l, t in spec.coeffs.items()
         )
-        expected = psi.conj() @ dense @ psi
-        assert abs(total - expected) <= 1e-10
+        assert abs(total - psi.conj() @ toeplitz_to_dense(spec) @ psi) <= 1e-10
 
 
 def test_spectral_identity():
+    # each L^l is F^dag diag(phase tower l) F, so the shift sum is too
     rng = np.random.default_rng(3)
     for n in (4, 8, 16):
-        col = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        spec = CirculantSpec(n, tuple(col))
-        f = dft_matrix(n)
-        recomposed = f.conj().T @ np.diag(circulant_spectrum(spec)) @ f
-        assert np.max(np.abs(circulant_to_dense(spec) - recomposed)) <= 1e-12
+        spec = random_banded(n, rng)
+        f = dft_matrix(2 * n)
+        diagonal = sum(
+            t * phase_spectrum_diagonal(phase_spectrum(2 * n, l)) for l, t in spec.coeffs.items()
+        )
+        recomposed = f.conj().T @ np.diag(diagonal) @ f
+        assert np.max(np.abs(shift_sum(spec) - recomposed)) <= 1e-12
 
 
 def test_phase_spectrum_values():

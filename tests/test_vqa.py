@@ -23,13 +23,9 @@ from vqtoeplitz.circuits import (
 )
 from vqtoeplitz.linalg import DimensionMismatch, basis_state, fidelity, normalize
 from vqtoeplitz.poisson import BoundaryCondition, PoissonProblem, prepare_b
-from vqtoeplitz.toeplitz import (
-    ToeplitzSpec,
-    circulant_expectation_terms,
-    embed_in_circulant,
-    toeplitz_to_dense,
-)
+from vqtoeplitz.toeplitz import ToeplitzSpec, toeplitz_to_dense
 from vqtoeplitz.vqa import (
+    STALL_WINDOW,
     AnsatzSpec,
     Cost,
     LengthMismatch,
@@ -325,10 +321,10 @@ def _gate_bracket(op, n, left, right, shots=None, seeds=None) -> float:
     if isinstance(op, ToeplitzSpec):
         pad = np.zeros(op.n)
         left_u, right_u = prep(np.concatenate([left, pad])), prep(np.concatenate([right, pad]))
-        return sum(  # the circulant column of a real band is real
-            coeff.real * test(controlled_Ll_circuit(2 * op.n, power % (2 * op.n)),
-                              num_qubits + 1, left_u, right_u)
-            for coeff, power in circulant_expectation_terms(embed_in_circulant(op))
+        return sum(  # T is the top-left block of sum_l t_l L^l on 2n points
+            coeff * test(controlled_Ll_circuit(2 * op.n, power % (2 * op.n)),
+                         num_qubits + 1, left_u, right_u)
+            for power, coeff in op.coeffs.items()
         )
     if isinstance(op, deco.ProjectorPair):
         # sum_(i,j) left_i <j|right>, each amplitude one basis-state bracket
@@ -604,7 +600,7 @@ def test_spsa_on_quadratic():
 
 
 def test_spsa_counts_evaluations_and_stalls_out():
-    # max_iters caps evaluations and stall_window stops SPSA, as for Nelder-Mead
+    # max_iters caps evaluations and STALL_WINDOW stops SPSA, as for Nelder-Mead
     spec = AnsatzSpec(1, 1)
     calls = []
 
@@ -617,7 +613,7 @@ def test_spsa_counts_evaluations_and_stalls_out():
     assert len(calls) == len(trace.records) <= config.max_iters
     config = OptimizerConfig(method="spsa", restarts=1, seed=0)
     trace = optimize(lambda p: 1.0, spec, config)
-    assert len(trace.records) <= config.stall_window + 2
+    assert len(trace.records) <= STALL_WINDOW + 2
 
 
 def test_solution_fidelity_matches_manual():
