@@ -37,7 +37,7 @@ print(f"\nQFT circuit vs DFT matrix: {err:.1e}")
 
 # each shift power is a tower of single-qubit phases between the QFT pair
 tower = phase_spectrum(2 * n, 1)
-print(f"phase tower for one shift (angles per qubit): {np.round(tower.phases, 4)}")
+print(f"phase tower for one shift (angles per qubit): {np.round(tower, 4)}")
 print("tensor product reproduces the root-of-unity diagonal:",
       np.allclose(phase_spectrum_diagonal(tower),
                   np.exp(2j * np.pi * np.arange(2 * n) / (2 * n))))

@@ -39,7 +39,6 @@ from .poisson import (
 )
 from .toeplitz import (
     NotBanded,
-    PhaseSpectrum,
     ToeplitzSpec,
     band_autocorrelation,
     classical_toeplitz_matvec,

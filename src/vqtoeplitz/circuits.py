@@ -6,9 +6,10 @@ shot-mode draws.
 
 Bit order: qubit 0 is the least significant bit of the basis-state index,
 so bitstrings print qubit (n-1) first.  Every circuit's dense realization
-is unitary; ``ControlledBlock`` wraps an arbitrary unitary acting on a
-target range when the control qubit is |1>, which is how controlled
-tensor-word letters and state preparations enter the Hadamard tests.
+is unitary.  Each gate carries its unitary, fixed when the builder method
+adds it; ``cblock`` wraps an arbitrary unitary acting on a target range
+when the control qubit is |1>, which is how controlled tensor-word letters
+and state preparations enter the Hadamard tests.
 
 The QFT circuit matches ``linalg.dft_matrix`` exactly (it ends with the
 bit-reversal swaps, each compiled to three CNOTs); a phase tower between
@@ -22,8 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
+from .decomposition import ProjectorPair
 from .linalg import DimensionMismatch, basis_state
-from .toeplitz import PhaseSpectrum, phase_spectrum
+from .toeplitz import phase_spectrum
 
 
 class NonUnitaryBlock(ValueError):
@@ -41,13 +43,23 @@ class UnsupportedPattern(ValueError):
 
 _UNITARY_TOL = 1e-12
 
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_S = np.diag([1.0, 1j])
+_CNOT = np.array(
+    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
+)  # qubit order (control, target): basis index = control + 2*target
+
 
 @dataclass(frozen=True, eq=False)
 class Gate:
+    """A unitary ``matrix`` on ``qubits`` (first listed = least significant);
+    ``tag`` and ``angle`` name it for readers of the circuit."""
+
     tag: str
     qubits: tuple[int, ...]
+    matrix: np.ndarray
     angle: float | None = None
-    matrix: np.ndarray | None = None
 
 
 def _check_unitary(matrix: np.ndarray) -> np.ndarray:
@@ -75,55 +87,59 @@ class Circuit:
             if not 0 <= q < self.num_qubits:
                 raise ValueError(f"qubit {q} out of range for {self.num_qubits} qubits")
 
-    def _add(self, tag, qubits, angle=None, matrix=None) -> "Circuit":
+    def _add(self, tag, qubits, matrix, angle=None) -> "Circuit":
         self._check(*qubits)
-        self.gates.append(Gate(tag, tuple(qubits), angle, matrix))
+        self.gates.append(Gate(tag, tuple(qubits), matrix, angle))
         return self
 
     def h(self, q):
-        return self._add("h", (q,))
+        return self._add("h", (q,), _H)
 
     def x(self, q):
-        return self._add("x", (q,))
+        return self._add("x", (q,), _X)
 
     def s(self, q):
-        return self._add("s", (q,))
+        return self._add("s", (q,), _S)
 
     def sdg(self, q):
-        return self._add("sdg", (q,))
+        return self._add("sdg", (q,), _S.conj())
 
     def ry(self, angle, q):
-        return self._add("ry", (q,), float(angle))
+        angle = float(angle)
+        c, s = np.cos(angle / 2), np.sin(angle / 2)
+        return self._add("ry", (q,), np.array([[c, -s], [s, c]], dtype=complex), angle)
 
     def phase(self, angle, q):
-        return self._add("phase", (q,), float(angle))
+        angle = float(angle)
+        return self._add("phase", (q,), np.diag([1.0, np.exp(1j * angle)]), angle)
 
     def cnot(self, control, target):
-        return self._add("cnot", (control, target))
+        return self._add("cnot", (control, target), _CNOT)
 
     def cphase(self, angle, control, target):
-        return self._add("cphase", (control, target), float(angle))
+        angle = float(angle)
+        matrix = np.diag([1.0, 1.0, 1.0, np.exp(1j * angle)])
+        return self._add("cphase", (control, target), matrix, angle)
 
     def swap(self, a, b):
         self.cnot(a, b)
         self.cnot(b, a)
         return self.cnot(a, b)
 
-    def block(self, qubits, matrix, check: bool = True):
+    def block(self, qubits, matrix):
         """Arbitrary unitary on a qubit tuple (first listed = least significant)."""
-        if check:
-            matrix = _check_unitary(matrix)
-        return self._add("block", tuple(qubits), None, matrix)
+        return self._add("block", tuple(qubits), _check_unitary(matrix))
 
-    def cblock(self, control, targets, matrix, check: bool = True):
+    def cblock(self, control, targets, matrix):
         """Unitary on the target tuple applied when the control reads |1>."""
-        if check:
-            matrix = _check_unitary(matrix)
-        if matrix.shape[0] != 1 << len(targets):
-            raise DimensionMismatch(
-                f"block of dim {matrix.shape[0]} does not fit {len(targets)} targets"
-            )
-        return self._add("cblock", (control, *targets), None, matrix)
+        matrix = _check_unitary(matrix)
+        dim = matrix.shape[0]
+        if dim != 1 << len(targets):
+            raise DimensionMismatch(f"block of dim {dim} does not fit {len(targets)} targets")
+        # block_diag(I, U), with the control as the most significant local bit
+        full = np.eye(2 * dim, dtype=complex)
+        full[dim:, dim:] = matrix
+        return self._add("cblock", (*targets, control), full)
 
     def extend(self, other: "Circuit") -> "Circuit":
         if other.num_qubits > self.num_qubits:
@@ -132,53 +148,18 @@ class Circuit:
         return self
 
     def inverse(self) -> "Circuit":
+        """The gates reversed, each one's conjugate transpose; s and sdg swap
+        tags and an angle changes sign, so the inverse still reads right."""
         inv = Circuit(self.num_qubits)
         for gate in reversed(self.gates):
-            if gate.tag in ("h", "x", "cnot"):
-                inv.gates.append(gate)
-            elif gate.tag == "s":
-                inv.gates.append(Gate("sdg", gate.qubits))
-            elif gate.tag == "sdg":
-                inv.gates.append(Gate("s", gate.qubits))
-            elif gate.tag in ("ry", "phase", "cphase"):
-                inv.gates.append(Gate(gate.tag, gate.qubits, -gate.angle))
-            elif gate.tag in ("block", "cblock"):
-                inv.gates.append(Gate(gate.tag, gate.qubits, None, gate.matrix.conj().T))
-            else:
-                raise ValueError(f"cannot invert gate {gate.tag}")
+            tag = {"s": "sdg", "sdg": "s"}.get(gate.tag, gate.tag)
+            angle = None if gate.angle is None else -gate.angle
+            inv.gates.append(Gate(tag, gate.qubits, gate.matrix.conj().T, angle))
         return inv
 
 
 # ---------------------------------------------------------------------------
 # simulation
-
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_S = np.diag([1.0, 1j])
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
-)  # qubit order (control, target): basis index = control + 2*target
-
-
-def _gate_matrix(gate: Gate) -> np.ndarray:
-    if gate.tag == "h":
-        return _H
-    if gate.tag == "x":
-        return _X
-    if gate.tag == "s":
-        return _S
-    if gate.tag == "sdg":
-        return _S.conj()
-    if gate.tag == "ry":
-        c, s = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if gate.tag == "phase":
-        return np.diag([1.0, np.exp(1j * gate.angle)])
-    if gate.tag == "cnot":
-        return _CNOT
-    if gate.tag == "cphase":
-        return np.diag([1.0, 1.0, 1.0, np.exp(1j * gate.angle)])
-    raise ValueError(f"no matrix for gate {gate.tag}")
 
 
 def _apply_unitary(state: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
@@ -187,8 +168,6 @@ def _apply_unitary(state: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...
     ``state`` may be a vector (2^n,) or a stack of columns (2^n, m).
     """
     k = len(qubits)
-    if k == n and qubits == tuple(range(n)):
-        return matrix @ state
     cols = 1 if state.ndim == 1 else state.shape[1]
     tensor = state.reshape([2] * n + [cols])
     # axis of qubit q is n-1-q; bring target axes to the front ordered
@@ -200,19 +179,6 @@ def _apply_unitary(state: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...
     tensor = np.moveaxis(tensor.reshape(shape), range(k), axes)
     out = tensor.reshape(1 << n, cols)
     return out[:, 0] if state.ndim == 1 else out
-
-
-def _apply_gate(state: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    if gate.tag == "block":
-        return _apply_unitary(state, gate.matrix, gate.qubits, n)
-    if gate.tag == "cblock":
-        control, targets = gate.qubits[0], gate.qubits[1:]
-        dim = 1 << len(targets)
-        full = np.eye(2 * dim, dtype=complex)
-        full[dim:, dim:] = gate.matrix
-        # control as the most significant local bit makes the block lower-right
-        return _apply_unitary(state, full, (*targets, control), n)
-    return _apply_unitary(state, _gate_matrix(gate), gate.qubits, n)
 
 
 def run_statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
@@ -227,7 +193,7 @@ def run_statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.n
         state = state.copy()
     expected_norm = 1.0 if initial is None else float(np.linalg.norm(initial))
     for gate in circuit.gates:
-        state = _apply_gate(state, gate, circuit.num_qubits)
+        state = _apply_unitary(state, gate.matrix, gate.qubits, circuit.num_qubits)
     norm = float(np.linalg.norm(state))
     if not abs(norm - expected_norm) < 1e-12 * max(1.0, expected_norm):
         raise NonUnitaryBlock(f"simulation changed the state norm from {expected_norm} to {norm}")
@@ -239,7 +205,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     dim = 1 << circuit.num_qubits
     mat = np.eye(dim, dtype=complex)
     for gate in circuit.gates:
-        mat = _apply_gate(mat, gate, circuit.num_qubits)
+        mat = _apply_unitary(mat, gate.matrix, gate.qubits, circuit.num_qubits)
     return mat
 
 
@@ -290,11 +256,11 @@ def inverse_qft_circuit(num_qubits: int) -> Circuit:
     return qft_circuit(num_qubits).inverse()
 
 
-def phase_tower_circuit(spectrum: PhaseSpectrum) -> Circuit:
-    """One phase gate per qubit realizing a power of the unit-root diagonal."""
-    num_qubits = spectrum.n.bit_length() - 1
-    circ = Circuit(num_qubits)
-    for j, theta in enumerate(spectrum.phases):
+def phase_tower_circuit(phases: tuple[float, ...]) -> Circuit:
+    """One phase gate per qubit (``phase_spectrum``'s angles) realizing a
+    power of the unit-root diagonal."""
+    circ = Circuit(len(phases))
+    for j, theta in enumerate(phases):
         if theta != 0.0:
             circ.phase(theta, j)
     return circ
@@ -314,7 +280,7 @@ def controlled_Ll_circuit(n: int, power: int) -> Circuit:
     circ = Circuit(num_system + 1)
     qft = qft_circuit(num_system)
     circ.extend(qft)
-    for j, theta in enumerate(phase_spectrum(n, power).phases):
+    for j, theta in enumerate(phase_spectrum(n, power)):
         if theta != 0.0:
             circ.cphase(theta, ancilla, j)
     circ.extend(qft.inverse())
@@ -369,9 +335,7 @@ def _ancilla_bias(state: np.ndarray, ancilla: int, num_qubits: int) -> float:
 def _prep_unitary(prep: "Circuit | np.ndarray") -> np.ndarray:
     # ndarrays are accepted as precomputed preparation unitaries so hot
     # loops do not rebuild them per bracket.
-    if isinstance(prep, Circuit):
-        return circuit_unitary(prep)
-    return _check_unitary(prep)
+    return circuit_unitary(prep) if isinstance(prep, Circuit) else prep
 
 
 def hadamard_test(
@@ -401,9 +365,9 @@ def hadamard_test(
     if part == "imag":
         circ.sdg(ancilla)
     circ.x(ancilla)
-    circ.cblock(ancilla, system, _prep_unitary(state_prep_left), check=False)
+    circ.cblock(ancilla, system, _prep_unitary(state_prep_left))
     circ.x(ancilla)
-    circ.cblock(ancilla, system, _prep_unitary(state_prep_right), check=False)
+    circ.cblock(ancilla, system, _prep_unitary(state_prep_right))
     circ.extend(controlled)
     circ.h(ancilla)
     if shots is None:
@@ -446,8 +410,6 @@ def bell_pair_circuits(descriptor, num_qubits: int) -> list[tuple[Circuit, int]]
     projectors, both +1); a symmetrized off-diagonal pair
     |i><j| + |j><i| (superposition projectors with signs +1, -1).
     """
-    from .decomposition import ProjectorPair  # local import to avoid a cycle
-
     if not isinstance(descriptor, ProjectorPair):
         raise UnsupportedPattern(f"not a projector pair: {type(descriptor).__name__}")
     dim = 1 << num_qubits

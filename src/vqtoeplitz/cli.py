@@ -30,6 +30,7 @@ from .linalg import (
     fidelity,
     normalize,
     num_qubits,
+    real_array,
 )
 from .poisson import build_poisson, prepare_b, problem_from_dict
 from .toeplitz import ToeplitzSpec, toeplitz_to_dense
@@ -95,7 +96,7 @@ def _object(value, what: str) -> dict:
 def _vector(payload: dict, key: str, n: int) -> np.ndarray:
     """The normalized ``key`` vector of a banded config; "uniform" if absent."""
     value = payload.get(key, "uniform")
-    vec = np.ones(n) if value == "uniform" else np.asarray(value, dtype=float)
+    vec = np.ones(n) if value == "uniform" else real_array(value, f"each {key} entry")
     if vec.shape != (n,) or not np.all(np.isfinite(vec)):
         raise ValueError(f"{key} must be 'uniform' or {n} finite numbers")
     return normalize(vec)
@@ -125,7 +126,7 @@ def cmd_toeplitz(args, payload: dict, shots):
     """Setup of ``toeplitz solve|matvec``: band -> vector -> cost -> classical
     reference (the dense solve, or the normalized image T|v0>)."""
     coeffs = _object(payload["coeffs"], "coeffs")
-    spec = ToeplitzSpec(payload["n"], {int(k): v for k, v in coeffs.items()})
+    spec = ToeplitzSpec(payload["n"], coeffs)
     if spec.n > MAX_DENSE_DIM:
         raise DimensionOverflow(f"size {spec.n} exceeds the dense cap")
     vec = _vector(payload, "rhs" if args.mode == "solve" else "v0", spec.n)

@@ -133,6 +133,19 @@ def integer(value, what: str) -> int:
     return int(value)
 
 
+def real(value, what: str) -> float:
+    """``value`` as a float; a bool, a string or a complex number is rejected, not converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
+def real_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array, each entry checked by ``real``."""
+    entries = np.asarray(values, dtype=object)
+    return np.array([real(v, what) for v in entries.flat], dtype=float).reshape(entries.shape)
+
+
 def num_qubits(v: np.ndarray) -> int:
     """Qubit count of a statevector; its length must be a power of two."""
     size = np.asarray(v).shape[0]

@@ -18,7 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .linalg import MAX_DENSE_DIM, DimensionOverflow, ZeroVector, integer, normalize
+from .linalg import (
+    MAX_DENSE_DIM,
+    DimensionOverflow,
+    ZeroVector,
+    integer,
+    normalize,
+    real,
+    real_array,
+)
 
 
 class WrongKind(ValueError):
@@ -43,7 +51,8 @@ class BoundaryCondition:
                 raise ValueError("dirichlet boundary carries no parameters")
         elif self.kind == "unified":
             params = (self.alpha1, self.alpha2, self.beta1, self.beta2)
-            if any(p is None or not 0 < p < np.inf for p in params):
+            if any(p is None or not 0 < real(p, "each boundary parameter") < np.inf
+                   for p in params):
                 raise ValueError("unified boundary requires four positive finite parameters")
         else:
             raise ValueError(f"unknown boundary kind {self.kind!r}")
@@ -63,7 +72,7 @@ class PoissonProblem:
 
     ``rhs`` is either the string "uniform" (a flat right-hand side, whose
     normalized state is exactly H^{otimes N*d}|0>) or an explicit sample
-    vector of length n**d.
+    vector of n**d real numbers (a bool or a string entry is rejected).
     """
 
     dimension: int
@@ -81,7 +90,7 @@ class PoissonProblem:
         if self.dimension >= 2 and self.boundary.kind != "dirichlet":
             raise UnsupportedProblem("unified boundary conditions are 1-D only")
         if not isinstance(self.rhs, str):
-            self.rhs = np.asarray(self.rhs, dtype=float)
+            self.rhs = real_array(self.rhs, "each rhs entry")
             qubits = self.rhs.size.bit_length() - 1  # by qubit count: n**d may be huge
             if qubits != self.total_qubits or self.rhs.shape != (1 << qubits,):
                 raise UnsupportedProblem(
@@ -186,14 +195,11 @@ def problem_from_dict(payload: dict) -> PoissonProblem:
             bc = BoundaryCondition.unified(
                 bdict["alpha1"], bdict["alpha2"], bdict["beta1"], bdict["beta2"]
             )
-        rhs = payload.get("rhs", "uniform")
-        if not isinstance(rhs, str):
-            rhs = np.asarray(rhs, dtype=float)
         return PoissonProblem(
             dimension=payload["dimension"],
             qubits_per_axis=payload["qubits_per_axis"],
             boundary=bc,
-            rhs=rhs,
+            rhs=payload.get("rhs", "uniform"),
         )
     except (KeyError, TypeError) as exc:
         raise UnsupportedProblem(f"malformed problem description: {exc}") from exc

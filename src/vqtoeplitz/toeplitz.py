@@ -10,11 +10,10 @@ single-qubit phase gates (``phase_spectrum``) between a QFT pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatch, integer
+from .linalg import DimensionMismatch, integer, real
 
 
 class NotBanded(ValueError):
@@ -25,18 +24,20 @@ class ToeplitzSpec:
     """Banded Toeplitz matrix given by offset -> real coefficient.
 
     Offset l > 0 is the l-th subdiagonal (entry (i, i-l) reading (i,k) = t_{i-k}),
-    l < 0 the superdiagonals.  Zero coefficients are dropped; a complex one
-    is rejected.  The band width is guarded by K <= 2*(log2 n)**2, a
-    concrete polylog budget.
+    l < 0 the superdiagonals.  Zero coefficients are dropped; one that is
+    not a real number (a bool, a string, a complex number) is rejected, and
+    so are two keys naming the same offset ("1" and "01").  The band width
+    is guarded by K <= 2*(log2 n)**2, a concrete polylog budget.
     """
 
     def __init__(self, n: int, coeffs: dict[int, float]):
         self.n = integer(n, "n")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if any(isinstance(t, (complex, np.complexfloating)) for t in coeffs.values()):
-            raise ValueError("coefficients must be real")
-        self.coeffs = {int(l): float(t) for l, t in coeffs.items() if float(t) != 0}
+        values = {int(l): real(t, "each coefficient") for l, t in coeffs.items()}
+        if len(values) != len(coeffs):
+            raise ValueError(f"two keys of {list(coeffs)} name the same offset")
+        self.coeffs = {l: t for l, t in values.items() if t != 0}
         if not all(np.isfinite(t) for t in self.coeffs.values()):
             raise ValueError("coefficients must be finite")
         k = self.band
@@ -63,19 +64,6 @@ class ToeplitzSpec:
         )
 
 
-@dataclass(frozen=True)
-class PhaseSpectrum:
-    """Per-qubit phases realizing the l-th power of the root-of-unity diagonal.
-
-    Qubit j carries the phase gate angle (l * 2*pi*2**j / n) mod 2*pi; the
-    tensor product over all log2(n) qubits equals diag(omega**(i*l)).
-    """
-
-    n: int
-    power: int
-    phases: tuple[float, ...]
-
-
 def toeplitz_to_dense(spec: ToeplitzSpec) -> np.ndarray:
     out = np.zeros((spec.n, spec.n))
     for l, t in spec.coeffs.items():
@@ -87,21 +75,22 @@ def toeplitz_to_dense(spec: ToeplitzSpec) -> np.ndarray:
     return out
 
 
-def phase_spectrum(n: int, power: int) -> PhaseSpectrum:
-    """Phase tower for the l-th power of the size-n root-of-unity diagonal."""
+def phase_spectrum(n: int, power: int) -> tuple[float, ...]:
+    """Per-qubit phases realizing the l-th power of the size-n root-of-unity
+    diagonal: qubit j carries the phase gate angle (l * 2*pi*2**j / n) mod
+    2*pi, and the tensor product over all log2(n) qubits is diag(omega**(i*l))."""
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError(f"n must be a power of two >= 2, got {n}")
     num_qubits = n.bit_length() - 1
-    phases = tuple(
+    return tuple(
         float((power * 2.0 * np.pi * (1 << j) / n) % (2.0 * np.pi)) for j in range(num_qubits)
     )
-    return PhaseSpectrum(n=n, power=power, phases=phases)
 
 
-def phase_spectrum_diagonal(spectrum: PhaseSpectrum) -> np.ndarray:
+def phase_spectrum_diagonal(phases: tuple[float, ...]) -> np.ndarray:
     """Dense diagonal realized by the tensor product of the phase gates."""
     diag = np.ones(1, dtype=complex)
-    for theta in reversed(spectrum.phases):  # qubit 0 is least significant
+    for theta in reversed(phases):  # qubit 0 is least significant
         diag = np.kron(diag, np.array([1.0, np.exp(1j * theta)]))
     # kron above builds (high qubit) x ... x (low qubit); reversed() plus this
     # ordering leaves entry i = prod_j exp(1j*theta_j*bit_j(i)).

@@ -317,16 +317,15 @@ STALL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    method: str = "nelder-mead"  # "nelder-mead" | "spsa"
     max_iters: int = 2000
     restarts: int = 5
     seed: int = 0
 
     def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.method not in ("nelder-mead", "spsa"):
-            raise ValueError(f"unknown optimizer {self.method!r}")
 
 
 @dataclass
@@ -363,27 +362,13 @@ class _StallStop(Exception):
     pass
 
 
-def _spsa_minimize(cost, x0, max_iters, rng):
-    """SPSA steps, two evaluations each; ``optimize``'s wrapped cost stops
-    them after max_iters evaluations or a stall."""
-    x = np.array(x0, dtype=float)
-    a, c, big_a, alpha, gamma = 0.2, 0.15, 0.1 * max_iters, 0.602, 0.101
-    for k in range(max_iters):
-        ak = a / (k + 1 + big_a) ** alpha
-        ck = c / (k + 1) ** gamma
-        delta = rng.choice([-1.0, 1.0], size=x.shape)
-        plus = cost(x + ck * delta)
-        minus = cost(x - ck * delta)
-        x -= ak * (plus - minus) / (2 * ck) * delta
-
-
 def optimize(
     cost,
     spec: AnsatzSpec,
     config: OptimizerConfig,
     reference_state: np.ndarray | None = None,
 ) -> TrainingTrace:
-    """Minimize the cost over `restarts` random initializations.
+    """Minimize the cost by Nelder-Mead over `restarts` random initializations.
 
     The trace records the best-so-far cost after every evaluation (so it
     is monotone within a restart); when a reference state is supplied the
@@ -393,60 +378,42 @@ def optimize(
     trace = TrainingTrace()
     seed_seq = np.random.SeedSequence(config.seed)
     for restart, child in enumerate(seed_seq.spawn(config.restarts)):
-        rng = np.random.default_rng(child)
-        x0 = rng.uniform(0.0, 2.0 * np.pi, spec.param_count)
-        state = {
-            "evals": 0,
-            "best": np.inf,
-            "best_x": x0,
-            "best_fid": None,
-            "last_improve": 0,
-        }
-
-        def record(x, value):
-            state["evals"] += 1
-            if value < state["best"] - STALL_TOL:
-                state["last_improve"] = state["evals"]
-            if value < state["best"]:
-                state["best"] = value
-                state["best_x"] = np.array(x, dtype=float)
-                if reference_state is not None:
-                    state["best_fid"] = fidelity(
-                        reference_state, ansatz_state(spec, state["best_x"])
-                    )
-            trace.records.append(
-                TraceRecord(state["evals"], restart, state["best"], state["best_fid"])
-            )
+        x0 = np.random.default_rng(child).uniform(0.0, 2.0 * np.pi, spec.param_count)
+        evals = last_improve = 0
+        best, best_x, best_fid = np.inf, x0, None
 
         def wrapped(x):
+            nonlocal evals, last_improve, best, best_x, best_fid
             value = cost(x)
-            record(x, value)
-            if state["evals"] - state["last_improve"] > STALL_WINDOW:
-                raise _StallStop
-            if state["evals"] >= config.max_iters:
+            evals += 1
+            if value < best - STALL_TOL:
+                last_improve = evals
+            if value < best:
+                best, best_x = value, np.array(x, dtype=float)
+                if reference_state is not None:
+                    best_fid = fidelity(reference_state, ansatz_state(spec, best_x))
+            trace.records.append(TraceRecord(evals, restart, best, best_fid))
+            if evals - last_improve > STALL_WINDOW or evals >= config.max_iters:
                 raise _StallStop
             return value
 
         try:
-            if config.method == "nelder-mead":
-                scipy.optimize.minimize(
-                    wrapped,
-                    x0,
-                    method="Nelder-Mead",
-                    options={
-                        "maxiter": config.max_iters,
-                        "maxfev": config.max_iters,
-                        "xatol": 1e-12,
-                        "fatol": 1e-14,
-                    },
-                )
-            else:
-                _spsa_minimize(wrapped, x0, config.max_iters, rng)
+            scipy.optimize.minimize(
+                wrapped,
+                x0,
+                method="Nelder-Mead",
+                options={
+                    "maxiter": config.max_iters,
+                    "maxfev": config.max_iters,
+                    "xatol": 1e-12,
+                    "fatol": 1e-14,
+                },
+            )
         except _StallStop:
             pass
 
-        if state["best"] < trace.best_cost:
-            trace.best_cost = float(state["best"])
-            trace.best_params = state["best_x"]
+        if best < trace.best_cost:
+            trace.best_cost = float(best)
+            trace.best_params = best_x
             trace.best_restart = restart
     return trace

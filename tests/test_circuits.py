@@ -5,6 +5,7 @@ import pytest
 
 from vqtoeplitz.circuits import (
     Circuit,
+    Gate,
     NonUnitaryBlock,
     ShotCountZero,
     UnsupportedPattern,
@@ -71,7 +72,8 @@ def test_non_unitary_block_rejected():
 
 def test_simulation_rejects_norm_change():
     # a typed error rather than an assert, so the check also runs under python -O
-    circ = Circuit(2).h(0).block((1,), 2.0 * np.eye(2), check=False)
+    circ = Circuit(2).h(0)
+    circ.gates.append(Gate("block", (1,), 2.0 * np.eye(2)))  # builders refuse it
     with pytest.raises(NonUnitaryBlock):
         run_statevector(circ)
     with pytest.raises(NonUnitaryBlock):

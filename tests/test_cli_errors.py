@@ -7,6 +7,9 @@ import pytest
 from vqtoeplitz.cli import main
 
 DIRICHLET = {"dimension": 1, "qubits_per_axis": 2, "boundary": {"kind": "dirichlet"}}
+UNIFIED = {"dimension": 1, "qubits_per_axis": 2,
+           "boundary": {"kind": "unified", "alpha1": 1, "alpha2": 2, "beta1": 3, "beta2": 1}}
+BAND = {"n": 4, "coeffs": {"0": 2, "1": -1, "-1": -1}}
 
 
 def run(argv):
@@ -40,12 +43,23 @@ def run(argv):
         (["verify", "--out", "{tmp}/file/out"], None, 2),
         (["solve-poisson"], {"dimension": 2000000, "qubits_per_axis": 1}, 3),
         (["toeplitz", "solve"], {"n": 10**30, "coeffs": {"0": 2}}, 3),
+        (["toeplitz", "solve"], {"n": 8, "coeffs": {"1": -1, "01": 5, "0": 2}}, 2),
+        (["toeplitz", "solve"], {"n": 8, "coeffs": {"0": "2", "1": -1}}, 2),
+        (["toeplitz", "solve"], {"n": 8, "coeffs": {"0": True}}, 2),
+        (["toeplitz", "solve"], dict(BAND, rhs=["1", 1, 2, 3]), 2),
+        (["toeplitz", "matvec"], dict(BAND, v0=[True, 1, 2, 3]), 2),
+        (["solve-poisson"], dict(DIRICHLET, rhs=["1", True, 2, 3]), 2),
+        (["solve-poisson"], dict(DIRICHLET, rhs=[1, True, 2, 3]), 2),
+        (["solve-poisson"], {**UNIFIED, "boundary": dict(UNIFIED["boundary"], alpha1=True)}, 2),
+        (["solve-poisson"], {**UNIFIED, "boundary": dict(UNIFIED["boundary"], beta2="1")}, 2),
     ],
     ids=["singular-band", "depth-0", "restarts-0", "seed-negative", "verify-seed-negative",
          "config-not-object", "rhs-nan", "rhs-infinity", "1d-one-qubit", "band-size-1",
          "band-size-infinity", "band-size-fraction", "band-size-boolean", "dimension-boolean",
          "dimension-fraction", "qubits-fraction", "qubits-boolean", "verify-out-below-file",
-         "dimension-two-million", "band-size-huge"],
+         "dimension-two-million", "band-size-huge", "band-offset-twice", "band-coeff-string",
+         "band-coeff-boolean", "band-rhs-string", "band-v0-boolean", "rhs-string",
+         "rhs-boolean", "boundary-boolean", "boundary-string"],
 )
 def test_bad_input_exit_code(tmp_path, capsys, argv, payload, code):
     (tmp_path / "file").write_text("a regular file\n")
