@@ -21,7 +21,6 @@ from .linalg import (
     dense_solve,
     dft_matrix,
     fidelity,
-    kron,
     normalize,
 )
 from .poisson import (
@@ -66,7 +65,6 @@ from .circuits import (
     Gate,
     NonUnitaryBlock,
     ShotCountZero,
-    ShotResult,
     UnsupportedPattern,
     bell_pair_circuits,
     circuit_unitary,

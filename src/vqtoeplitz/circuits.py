@@ -5,7 +5,8 @@ exactly, for its statevector terms; sampled, for the distribution of its
 shot-mode draws.
 
 Bit order: qubit 0 is the least significant bit of the basis-state index,
-so bitstrings print qubit (n-1) first.  Every circuit's dense realization
+and a readout (exact probabilities or sampled counts) is an array indexed
+by that basis-state index.  Every circuit's dense realization
 is unitary.  Each gate carries its unitary, fixed when the builder method
 adds it; ``cblock`` wraps an arbitrary unitary acting on a target range
 when the control qubit is |1>, which is how controlled tensor-word letters
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .decomposition import ProjectorPair
-from .linalg import DimensionMismatch, basis_state
+from .linalg import DimensionMismatch, basis_state, integer, power_of_two
 from .toeplitz import phase_spectrum
 
 
@@ -65,8 +66,9 @@ class Gate:
 def _check_unitary(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     dim = matrix.shape[0]
-    if matrix.shape != (dim, dim) or dim & (dim - 1):
-        raise NonUnitaryBlock(f"block must be square with power-of-two size, got {matrix.shape}")
+    if matrix.shape != (dim, dim):
+        raise NonUnitaryBlock(f"block must be square, got {matrix.shape}")
+    power_of_two(dim, "block size", 1, NonUnitaryBlock)
     defect = np.max(np.abs(matrix.conj().T @ matrix - np.eye(dim)))
     if defect > _UNITARY_TOL:
         raise NonUnitaryBlock(f"block unitarity defect {defect:.2e} exceeds {_UNITARY_TOL}")
@@ -209,25 +211,20 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
-class ShotResult:
-    counts: dict[str, int]
-    shots: int
-    seed: int
+def sample_shots(circuit: Circuit, initial: np.ndarray | None, shots: int, seed: int) -> np.ndarray:
+    """Multinomial sample of computational-basis outcomes: the count of each
+    basis-state index, an int array of length 2^n; deterministic in seed."""
+    shots = integer(shots, "shots", 1, ShotCountZero)
+    probs = np.abs(run_statevector(circuit, initial)) ** 2
+    return np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
 
 
-def sample_shots(circuit: Circuit, initial: np.ndarray | None, shots: int, seed: int) -> ShotResult:
-    """Multinomial sample of computational-basis outcomes; deterministic in seed."""
-    if shots < 1:
-        raise ShotCountZero("shots must be >= 1")
-    state = run_statevector(circuit, initial)
-    probs = np.abs(state) ** 2
-    probs /= probs.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, probs)
-    n = circuit.num_qubits
-    counts = {format(i, f"0{n}b"): int(c) for i, c in enumerate(draws) if c > 0}
-    return ShotResult(counts=counts, shots=shots, seed=seed)
+def _readout(circuit: Circuit, initial: np.ndarray | None, shots: int | None, seed: int) -> np.ndarray:
+    """Each basis state's weight: its exact probability, or with ``shots``
+    its frequency in that many sampled outcomes."""
+    if shots is None:
+        return np.abs(run_statevector(circuit, initial)) ** 2
+    return sample_shots(circuit, initial, shots, seed) / shots
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +237,7 @@ def qft_circuit(num_qubits: int) -> Circuit:
     num_qubits Hadamards, num_qubits*(num_qubits-1)/2 controlled phases,
     floor(num_qubits/2) bit-reversal swaps.
     """
-    if num_qubits < 1:
-        raise ValueError("num_qubits must be >= 1")
+    num_qubits = integer(num_qubits, "num_qubits", 1)
     circ = Circuit(num_qubits)
     for j in range(num_qubits - 1, -1, -1):
         circ.h(j)
@@ -273,9 +269,7 @@ def controlled_Ll_circuit(n: int, power: int) -> Circuit:
     applied unconditionally (it cancels on the control-0 branch); only the
     phase tower is controlled.  Dense form is block_diag(I, L^power).
     """
-    num_system = n.bit_length() - 1
-    if n != 1 << num_system:
-        raise ValueError(f"n must be a power of two, got {n}")
+    num_system = power_of_two(n, "n", 2)
     ancilla = num_system
     circ = Circuit(num_system + 1)
     qft = qft_circuit(num_system)
@@ -325,13 +319,6 @@ def basis_prep_circuit(num_qubits: int, index: int) -> Circuit:
 # Hadamard test
 
 
-def _ancilla_bias(state: np.ndarray, ancilla: int, num_qubits: int) -> float:
-    probs = np.abs(state.reshape([2] * num_qubits)) ** 2
-    axis = num_qubits - 1 - ancilla
-    marg = probs.sum(axis=tuple(i for i in range(num_qubits) if i != axis))
-    return float(marg[0] - marg[1])
-
-
 def _prep_unitary(prep: "Circuit | np.ndarray") -> np.ndarray:
     # ndarrays are accepted as precomputed preparation unitaries so hot
     # loops do not rebuild them per bracket.
@@ -358,9 +345,8 @@ def hadamard_test(
     if part not in ("real", "imag"):
         raise ValueError(f"part must be 'real' or 'imag', got {part!r}")
     ancilla = n_system
-    total = n_system + 1
     system = tuple(range(n_system))
-    circ = Circuit(total)
+    circ = Circuit(n_system + 1)
     circ.h(ancilla)
     if part == "imag":
         circ.sdg(ancilla)
@@ -370,15 +356,9 @@ def hadamard_test(
     circ.cblock(ancilla, system, _prep_unitary(state_prep_right))
     circ.extend(controlled)
     circ.h(ancilla)
-    if shots is None:
-        return _ancilla_bias(run_statevector(circ), ancilla, total)
-    if shots < 1:
-        raise ShotCountZero("shots must be >= 1")
-    result = sample_shots(circ, None, shots, seed)
-    bias = 0
-    for bits, count in result.counts.items():
-        bias += count if bits[0] == "0" else -count  # ancilla is the top bit
-    return bias / shots
+    weights = _readout(circ, None, shots, seed)
+    half = weights.size // 2  # the ancilla is the top qubit
+    return float(weights[:half].sum() - weights[half:].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +437,5 @@ def projector_expectation(
     qubits = linalg.num_qubits(state)
     total = 0.0
     for k, (prep, sign) in enumerate(bell_pair_circuits(descriptor, qubits)):
-        circ = prep.inverse()
-        if shots is None:
-            amp = run_statevector(circ, state)[0]
-            prob = float(np.abs(amp) ** 2)
-        else:
-            result = sample_shots(circ, state, shots, seed + k)
-            prob = result.counts.get("0" * qubits, 0) / shots
-        total += sign * prob
-    return total
+        total += sign * _readout(prep.inverse(), state, shots, seed + k)[0]
+    return float(total)

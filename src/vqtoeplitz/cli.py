@@ -26,6 +26,7 @@ from .linalg import (
     MAX_DENSE_DIM,
     DimensionOverflow,
     SingularMatrix,
+    check_dense,
     dense_solve,
     fidelity,
     normalize,
@@ -125,10 +126,12 @@ def cmd_solve_poisson(args, payload: dict, shots):
 def cmd_toeplitz(args, payload: dict, shots):
     """Setup of ``toeplitz solve|matvec``: band -> vector -> cost -> classical
     reference (the dense solve, or the normalized image T|v0>)."""
-    coeffs = _object(payload["coeffs"], "coeffs")
+    keys = _object(payload["coeffs"], "coeffs")
+    coeffs = {int(key): value for key, value in keys.items()}
+    if len(coeffs) != len(keys):
+        raise ValueError(f"two keys of {list(keys)} name the same offset")
     spec = ToeplitzSpec(payload["n"], coeffs)
-    if spec.n > MAX_DENSE_DIM:
-        raise DimensionOverflow(f"size {spec.n} exceeds the dense cap")
+    check_dense(spec.n, "size")  # before the vector and the cost are built
     vec = _vector(payload, "rhs" if args.mode == "solve" else "v0", spec.n)
     ansatz = AnsatzSpec(num_qubits(vec), depth=args.depth)
     if args.mode == "solve":

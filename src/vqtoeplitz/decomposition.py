@@ -33,7 +33,7 @@ from functools import cache
 import numpy as np
 import scipy.sparse
 
-from .linalg import MAX_DENSE_DIM, DimensionOverflow
+from .linalg import check_dense, integer, power_of_two
 from .toeplitz import NotBanded, ToeplitzSpec, band_autocorrelation, corner_corrections
 
 # ---------------------------------------------------------------------------
@@ -178,8 +178,7 @@ def decompose_dirichlet_1d(n: int) -> tuple[TermList, TermList]:
     the band [1, -4, 6, -4, 1] minus the projector pair onto the first
     and last basis states (both corner diagonal entries drop from 6 to 5).
     """
-    if n < 4 or (n & (n - 1)) != 0:
-        raise ValueError("n must be a power of two >= 4")
+    power_of_two(n, "n", 4)
     a_terms = TermList(
         (DecompositionTerm(1.0, _dirichlet_band(n)),),
         n=n, dimension=1, target="poisson-1d-dirichlet", bra_equals_ket=False,
@@ -202,8 +201,7 @@ def decompose_unified_1d(n: int, c: float, d: float) -> tuple[TermList, TermList
     projectors weighted -(4c+1-c^2) and -(4d+1-d^2) plus symmetrized
     edge pairs |0><1|+|1><0| and |n-1><n-2|+|n-2><n-1| weighted c and d.
     """
-    if n < 4 or (n & (n - 1)) != 0:
-        raise ValueError("n must be a power of two >= 4")
+    power_of_two(n, "n", 4)
     if not (0 <= c < 1 and 0 <= d < 1):
         raise ValueError("corner coefficients must lie in [0, 1)")
 
@@ -260,10 +258,8 @@ _SAME_SITE_SINGLE: tuple[tuple[float, str], ...] = (
 
 def decompose_dirichlet_dd(dimension: int, n: int) -> TermList:
     """d-dimensional Dirichlet operator as 2d*I plus 4 letters per axis."""
-    if dimension < 1:
-        raise ValueError("dimension must be >= 1")
-    if n < 2 or (n & (n - 1)) != 0:
-        raise ValueError("n must be a power of two >= 2")
+    integer(dimension, "dimension", 1)
+    power_of_two(n, "n", 2)
     terms = [DecompositionTerm(2.0 * dimension, _word(dimension, {}))]
     for site in range(dimension):
         for weight, letter in _SITE_LETTERS:
@@ -284,10 +280,8 @@ def decompose_dirichlet_dd_squared(dimension: int, n: int) -> TermList:
     twelve-word expansion of the 1-D square with shift-containing words
     folded onto their transposes.
     """
-    if dimension < 1:
-        raise ValueError("dimension must be >= 1")
-    if n < 2 or (n & (n - 1)) != 0:
-        raise ValueError("n must be a power of two >= 2")
+    integer(dimension, "dimension", 1)
+    power_of_two(n, "n", 2)
     terms = [
         DecompositionTerm(4.0 * dimension**2 + 2.25 * dimension, _word(dimension, {}))
     ]
@@ -377,9 +371,7 @@ def reconstruct_sparse(term_list: TermList) -> scipy.sparse.csr_matrix:
 
 def reconstruct_dense(term_list: TermList) -> np.ndarray:
     """``reconstruct_sparse`` as a dense array, within the dense cap."""
-    dim = term_list.total_dim
-    if dim > MAX_DENSE_DIM:
-        raise DimensionOverflow(f"reconstruction dimension {dim} exceeds cap {MAX_DENSE_DIM}")
+    check_dense(term_list.total_dim, "reconstruction dimension")
     return reconstruct_sparse(term_list).toarray()
 
 

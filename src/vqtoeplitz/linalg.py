@@ -45,17 +45,11 @@ class ZeroVector(ValueError):
     """A vector whose entries are all zero cannot be normalized."""
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the desk-scale dimension guard."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if rows > MAX_DENSE_DIM or cols > MAX_DENSE_DIM:
-        raise DimensionOverflow(
-            f"kron result {rows}x{cols} exceeds dense cap {MAX_DENSE_DIM}"
-        )
-    return np.kron(a, b)
+def check_dense(dim: int, what: str) -> None:
+    """Raise DimensionOverflow before a dense ``dim`` x ``dim`` construction
+    beyond MAX_DENSE_DIM."""
+    if dim > MAX_DENSE_DIM:
+        raise DimensionOverflow(f"{what} {dim} exceeds the dense cap {MAX_DENSE_DIM}")
 
 
 def dense_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -86,22 +80,14 @@ def dense_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary DFT matrix, entries omega**(j*k)/sqrt(n) with omega = exp(+2j*pi/n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = integer(n, "n", 1)
     j = np.arange(n)
     return np.exp(2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
 
 
-def build_unit_circulant(n: int, direction: str = "down") -> np.ndarray:
-    """Cyclic shift permutation: "down" maps |j> -> |(j+1) mod n>, "up" is its transpose."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    down = np.roll(np.eye(n), 1, axis=0)
-    if direction == "down":
-        return down
-    if direction == "up":
-        return down.T.copy()
-    raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
+def build_unit_circulant(n: int) -> np.ndarray:
+    """Cyclic down-shift permutation L: |j> -> |(j+1) mod n>."""
+    return np.roll(np.eye(integer(n, "n", 2)), 1, axis=0)
 
 
 def fidelity(u: np.ndarray, v: np.ndarray) -> float:
@@ -126,11 +112,24 @@ def normalize(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def integer(value, what: str) -> int:
-    """``value`` as an int; a bool or a float (8.0 included) is rejected, not truncated."""
+def integer(value, what: str, minimum: int | None = None, error=ValueError) -> int:
+    """``value`` as an int: a bool or a float (8.0 included) raises TypeError,
+    not truncated, and a value below ``minimum`` raises ``error``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise error(f"{what} must be >= {minimum}, got {value}")
+    return value
+
+
+def power_of_two(n, what: str, minimum: int, error=ValueError) -> int:
+    """log2 of ``n``, an integer power of two >= ``minimum``; ``error`` otherwise."""
+    n = integer(n, what, minimum, error)
+    q = n.bit_length() - 1
+    if n != 1 << q:
+        raise error(f"{what} must be a power of two >= {minimum}, got {n}")
+    return q
 
 
 def real(value, what: str) -> float:
@@ -148,11 +147,7 @@ def real_array(values, what: str) -> np.ndarray:
 
 def num_qubits(v: np.ndarray) -> int:
     """Qubit count of a statevector; its length must be a power of two."""
-    size = np.asarray(v).shape[0]
-    q = size.bit_length() - 1
-    if size != 1 << q:
-        raise DimensionMismatch(f"statevector length {size} is not a power of two")
-    return q
+    return power_of_two(np.asarray(v).shape[0], "statevector length", 1, DimensionMismatch)
 
 
 def basis_state(n_qubits: int, index: int) -> np.ndarray:

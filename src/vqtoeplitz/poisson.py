@@ -18,15 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .linalg import (
-    MAX_DENSE_DIM,
-    DimensionOverflow,
-    ZeroVector,
-    integer,
-    normalize,
-    real,
-    real_array,
-)
+from .linalg import ZeroVector, check_dense, integer, normalize, real, real_array
 
 
 class WrongKind(ValueError):
@@ -81,12 +73,10 @@ class PoissonProblem:
     rhs: str | np.ndarray = "uniform"
 
     def __post_init__(self):
-        self.dimension = integer(self.dimension, "dimension")
-        self.qubits_per_axis = integer(self.qubits_per_axis, "qubits_per_axis")
-        if self.dimension < 1:
-            raise UnsupportedProblem("dimension must be >= 1")
-        if self.qubits_per_axis < 1:
-            raise UnsupportedProblem("qubits_per_axis must be >= 1")
+        self.dimension = integer(self.dimension, "dimension", 1, UnsupportedProblem)
+        self.qubits_per_axis = integer(
+            self.qubits_per_axis, "qubits_per_axis", 1, UnsupportedProblem
+        )
         if self.dimension >= 2 and self.boundary.kind != "dirichlet":
             raise UnsupportedProblem("unified boundary conditions are 1-D only")
         if not isinstance(self.rhs, str):
@@ -150,10 +140,7 @@ def poisson_sparse(problem: PoissonProblem) -> scipy.sparse.csr_matrix:
 
 def build_poisson(problem: PoissonProblem) -> np.ndarray:
     """Dense operator of any supported problem, within the dense cap."""
-    if problem.total_dim > MAX_DENSE_DIM:
-        raise DimensionOverflow(
-            f"grid size {problem.total_dim} exceeds dense cap {MAX_DENSE_DIM}"
-        )
+    check_dense(problem.total_dim, "grid size")
     return poisson_sparse(problem).toarray()
 
 

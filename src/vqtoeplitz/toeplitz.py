@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .linalg import DimensionMismatch, integer, real
+from .linalg import DimensionMismatch, check_dense, integer, power_of_two, real
 
 
 class NotBanded(ValueError):
@@ -24,19 +24,17 @@ class ToeplitzSpec:
     """Banded Toeplitz matrix given by offset -> real coefficient.
 
     Offset l > 0 is the l-th subdiagonal (entry (i, i-l) reading (i,k) = t_{i-k}),
-    l < 0 the superdiagonals.  Zero coefficients are dropped; one that is
-    not a real number (a bool, a string, a complex number) is rejected, and
-    so are two keys naming the same offset ("1" and "01").  The band width
-    is guarded by K <= 2*(log2 n)**2, a concrete polylog budget.
+    l < 0 the superdiagonals.  Each offset is an integer (a bool or a float
+    is rejected, not truncated).  Zero coefficients are dropped; one that is
+    not a real number (a bool, a string, a complex number) is rejected.  The
+    band width is guarded by K <= 2*(log2 n)**2, a concrete polylog budget.
     """
 
     def __init__(self, n: int, coeffs: dict[int, float]):
-        self.n = integer(n, "n")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        values = {int(l): real(t, "each coefficient") for l, t in coeffs.items()}
-        if len(values) != len(coeffs):
-            raise ValueError(f"two keys of {list(coeffs)} name the same offset")
+        self.n = integer(n, "n", 1)
+        values = {
+            integer(l, "each offset"): real(t, "each coefficient") for l, t in coeffs.items()
+        }
         self.coeffs = {l: t for l, t in values.items() if t != 0}
         if not all(np.isfinite(t) for t in self.coeffs.values()):
             raise ValueError("coefficients must be finite")
@@ -65,6 +63,8 @@ class ToeplitzSpec:
 
 
 def toeplitz_to_dense(spec: ToeplitzSpec) -> np.ndarray:
+    """Dense n x n matrix of the band, within the dense cap."""
+    check_dense(spec.n, "size")
     out = np.zeros((spec.n, spec.n))
     for l, t in spec.coeffs.items():
         idx = np.arange(spec.n - abs(l))
@@ -79,9 +79,8 @@ def phase_spectrum(n: int, power: int) -> tuple[float, ...]:
     """Per-qubit phases realizing the l-th power of the size-n root-of-unity
     diagonal: qubit j carries the phase gate angle (l * 2*pi*2**j / n) mod
     2*pi, and the tensor product over all log2(n) qubits is diag(omega**(i*l))."""
-    if n < 2 or (n & (n - 1)) != 0:
-        raise ValueError(f"n must be a power of two >= 2, got {n}")
-    num_qubits = n.bit_length() - 1
+    num_qubits = power_of_two(n, "n", 2)
+    power = integer(power, "power")
     return tuple(
         float((power * 2.0 * np.pi * (1 << j) / n) % (2.0 * np.pi)) for j in range(num_qubits)
     )

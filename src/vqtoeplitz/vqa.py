@@ -38,7 +38,7 @@ import scipy.optimize
 
 from . import decomposition as deco
 from .circuits import Circuit, ShotCountZero, bell_pair_circuits, run_statevector
-from .linalg import DimensionMismatch, dense_solve, fidelity, normalize, num_qubits
+from .linalg import DimensionMismatch, dense_solve, fidelity, integer, normalize, num_qubits
 from .poisson import PoissonProblem, boundary_coefficients, build_poisson, prepare_b
 from .toeplitz import ToeplitzSpec, classical_toeplitz_matvec
 
@@ -64,8 +64,8 @@ class AnsatzSpec:
     depth: int
 
     def __post_init__(self):
-        if self.depth < 1 or self.num_qubits < 1:
-            raise ValueError("depth and num_qubits must be >= 1")
+        integer(self.num_qubits, "num_qubits", 1)
+        integer(self.depth, "depth", 1)
 
     @property
     def param_count(self) -> int:
@@ -144,8 +144,8 @@ class Cost:
                 f"ansatz acts on {ansatz.num_qubits} qubits, A and G on (n, d) = {grids}"
                 f" grids and b has {b.size} amplitudes"
             )
-        if shots is not None and shots < 1:
-            raise ShotCountZero("shots must be >= 1")
+        if shots is not None:
+            shots = integer(shots, "shots", 1, ShotCountZero)
         # each projector preparation's (real) state
         self._bell_states = {
             term.op: [
@@ -156,7 +156,7 @@ class Cost:
             if isinstance(term.op, deco.ProjectorPair)
         }
         self.a_terms, self.g_terms, self.b = a_terms, g_terms, b
-        self.ansatz, self.shots, self.seed = ansatz, shots, int(seed)
+        self.ansatz, self.shots, self.seed = ansatz, shots, integer(seed, "seed", 0)
         self._evals = itertools.count()
 
     def __call__(self, params: np.ndarray) -> float:
@@ -322,10 +322,9 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        integer(self.max_iters, "max_iters", 1)
+        integer(self.restarts, "restarts", 1)
+        integer(self.seed, "seed", 0)
 
 
 @dataclass

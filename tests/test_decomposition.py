@@ -200,7 +200,7 @@ def test_unknown_letter():
 def _oracle_letter(name, n):
     """A letter as the product of its dense factors, built without the
     signed-permutation form the module uses."""
-    ell = build_unit_circulant(n, "down")
+    ell = build_unit_circulant(n)
     base = {
         "I": np.eye(n),
         "L": ell,

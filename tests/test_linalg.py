@@ -8,7 +8,6 @@ import scipy.linalg
 
 from vqtoeplitz.linalg import (
     DimensionMismatch,
-    DimensionOverflow,
     SingularMatrix,
     ZeroVector,
     basis_state,
@@ -16,49 +15,15 @@ from vqtoeplitz.linalg import (
     dense_solve,
     dft_matrix,
     fidelity,
-    kron,
     normalize,
     num_qubits,
     random_state,
 )
 from vqtoeplitz.poisson import PoissonProblem, build_poisson, prepare_b
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-
 
 def tridiag(n):
     return 2 * np.eye(n) - np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)
-
-
-def test_kron_identity():
-    np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_permutation_case():
-    # sigma_x (x) sigma_x maps |00> to |11>
-    out = kron(SIGMA_X, SIGMA_X) @ basis_state(2, 0)
-    np.testing.assert_allclose(out, basis_state(2, 3), atol=1e-15)
-
-
-def test_kron_sum_matches_direct_construction():
-    a = tridiag(2)
-    lhs = kron(a, np.eye(2)) + kron(np.eye(2), a)
-    expected = np.array(
-        [
-            [4, -1, -1, 0],
-            [-1, 4, 0, -1],
-            [-1, 0, 4, -1],
-            [0, -1, -1, 4],
-        ],
-        dtype=float,
-    )
-    np.testing.assert_array_equal(lhs, expected)
-
-
-def test_kron_overflow_guard():
-    big = np.eye(128)
-    with pytest.raises(DimensionOverflow):
-        kron(kron(big, np.eye(8)), np.eye(8))
 
 
 def test_dense_solve_tridiagonal_ones():
@@ -138,13 +103,13 @@ def test_dft_sign_convention_diagonalizes_downshift():
     n = 4
     f = dft_matrix(n)
     d = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
-    ell = build_unit_circulant(n, "down")
+    ell = build_unit_circulant(n)
     assert np.max(np.abs(f.conj().T @ d @ f - ell)) <= 1e-12
     assert np.max(np.abs(f @ d @ f.conj().T - ell)) > 0.5
 
 
 def test_unit_circulant_entries():
-    ell = build_unit_circulant(3, "down")
+    ell = build_unit_circulant(3)
     expected = np.zeros((3, 3))
     expected[1, 0] = expected[2, 1] = expected[0, 2] = 1.0
     np.testing.assert_array_equal(ell, expected)
@@ -152,9 +117,8 @@ def test_unit_circulant_entries():
 
 def test_unit_circulant_inverse_and_cycle():
     for n in (2, 4, 8):
-        ell = build_unit_circulant(n, "down")
-        r = build_unit_circulant(n, "up")
-        np.testing.assert_array_equal(ell @ r, np.eye(n))
+        ell = build_unit_circulant(n)
+        np.testing.assert_array_equal(ell @ ell.T, np.eye(n))
         np.testing.assert_array_equal(np.linalg.matrix_power(ell, n), np.eye(n))
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vqtoeplitz.linalg import DimensionOverflow, ZeroVector, kron
+from vqtoeplitz.linalg import DimensionOverflow, ZeroVector
 from vqtoeplitz.poisson import (
     BoundaryCondition,
     PoissonProblem,
@@ -100,7 +100,7 @@ def test_build_poisson_dd_matches_kron_loop():
             mats = [a1 if k == site else eye for k in range(dim)]
             term = mats[0]
             for m in mats[1:]:
-                term = kron(term, m)
+                term = np.kron(term, m)
             total += term
         np.testing.assert_array_equal(build_poisson_dd(problem), total)
 
