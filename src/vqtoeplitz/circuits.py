@@ -308,6 +308,7 @@ def uniform_prep_circuit(num_qubits: int) -> Circuit:
 
 
 def basis_prep_circuit(num_qubits: int, index: int) -> Circuit:
+    index = linalg.basis_index(num_qubits, index)
     circ = Circuit(num_qubits)
     for q in range(num_qubits):
         if (index >> q) & 1:
@@ -344,6 +345,8 @@ def hadamard_test(
     """
     if part not in ("real", "imag"):
         raise ValueError(f"part must be 'real' or 'imag', got {part!r}")
+    if controlled.num_qubits != n_system + 1:
+        raise DimensionMismatch(f"the test needs a controlled circuit on {n_system + 1} qubits")
     ancilla = n_system
     system = tuple(range(n_system))
     circ = Circuit(n_system + 1)

@@ -98,8 +98,8 @@ def _vector(payload: dict, key: str, n: int) -> np.ndarray:
     """The normalized ``key`` vector of a banded config; "uniform" if absent."""
     value = payload.get(key, "uniform")
     vec = np.ones(n) if value == "uniform" else real_array(value, f"each {key} entry")
-    if vec.shape != (n,) or not np.all(np.isfinite(vec)):
-        raise ValueError(f"{key} must be 'uniform' or {n} finite numbers")
+    if vec.shape != (n,):
+        raise ValueError(f"{key} must be 'uniform' or {n} numbers")
     return normalize(vec)
 
 

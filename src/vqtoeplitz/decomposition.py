@@ -28,13 +28,13 @@ off for free.  Both tallies are asserted in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 import scipy.sparse
 
 from .linalg import check_dense, integer, power_of_two
-from .toeplitz import NotBanded, ToeplitzSpec, band_autocorrelation, corner_corrections
+from .toeplitz import (NotBanded, ToeplitzSpec, band_autocorrelation, band_sparse,
+                       corner_corrections)
 
 # ---------------------------------------------------------------------------
 # operator descriptors
@@ -50,6 +50,12 @@ class ProjectorPair:
 
     pairs: tuple[tuple[int, int], ...]
     symmetrize: bool = False
+
+    @property
+    def entries(self) -> tuple[tuple[int, int], ...]:
+        """Each |i><j| once, a symmetrized pair's mirror |j><i| right after it."""
+        return tuple(entry for i, j in self.pairs
+                     for entry in ([(i, j), (j, i)] if self.symmetrize and i != j else [(i, j)]))
 
 
 @dataclass(frozen=True)
@@ -115,11 +121,10 @@ _LETTER_FACTORS: dict[str, tuple[str, ...]] = {
 }
 
 
-@cache
 def word_permutation(letters: tuple[str, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The word as a cached, read-only signed permutation (perm, sign) with
+    """The word as a signed permutation (perm, sign) with
     (W v)[i] = sign[i] * v[perm[i]]; axes in ``np.kron`` order, first letter
-    most significant."""
+    most significant.  Nothing is kept: a cost builds its own words."""
     idx, ones = np.arange(n), np.ones(n)
     base = {
         "I": (idx, ones),
@@ -137,7 +142,6 @@ def word_permutation(letters: tuple[str, ...], n: int) -> tuple[np.ndarray, np.n
             q, t = base[factor]
             p, s = q[p], s * t[p]
         perm, sign = (perm[:, None] * n + p).ravel(), np.outer(sign, s).ravel()
-    perm.flags.writeable = sign.flags.writeable = False
     return perm, sign
 
 
@@ -328,27 +332,11 @@ def decompose_banded_gram(spec: ToeplitzSpec) -> TermList:
 
 def _op_sparse(op: Operator, n: int, dimension: int) -> scipy.sparse.csr_matrix:
     if isinstance(op, ToeplitzSpec):
-        offsets = sorted(op.coeffs, key=lambda l: -l)
-        # scipy.diags offset k is the k-th superdiagonal; our offset l>0 is sub.
-        return scipy.sparse.diags(
-            [np.full(n - abs(l), op.coeffs[l]) for l in offsets],
-            [-l for l in offsets],
-            shape=(n, n),
-            format="csr",
-            dtype=float,
-        )
+        return band_sparse(op)
     if isinstance(op, ProjectorPair):
-        rows, cols, vals = [], [], []
-        for i, j in op.pairs:
-            rows.append(i)
-            cols.append(j)
-            vals.append(1.0)
-            if op.symmetrize and i != j:
-                rows.append(j)
-                cols.append(i)
-                vals.append(1.0)
+        rows, cols = np.array(op.entries, dtype=int).reshape(-1, 2).T
         dim = n**dimension
-        return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=float)
+        return scipy.sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(dim, dim))
     if isinstance(op, TensorWord):
         perm, sign = word_permutation(op.letters, n)
         return scipy.sparse.csr_matrix(

@@ -103,12 +103,15 @@ def normalize(v: np.ndarray) -> np.ndarray:
     """Scale to unit 2-norm, preserving direction (and a real vector real).
 
     Dividing by max|v| first keeps the norm from underflowing or
-    overflowing, so any vector with a nonzero entry normalizes.
+    overflowing, so any finite vector with a nonzero entry normalizes.
     """
+    v = np.asarray(v)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("cannot normalize a vector with a non-finite entry")
     scale = np.max(np.abs(v), initial=0.0)
     if scale == 0:
         raise ZeroVector("cannot normalize a zero vector")
-    v = np.asarray(v) / scale
+    v = v / scale
     return v / np.linalg.norm(v)
 
 
@@ -150,12 +153,18 @@ def num_qubits(v: np.ndarray) -> int:
     return power_of_two(np.asarray(v).shape[0], "statevector length", 1, DimensionMismatch)
 
 
-def basis_state(n_qubits: int, index: int) -> np.ndarray:
-    """Computational basis state |index> on n_qubits."""
+def basis_index(n_qubits: int, index) -> int:
+    """``index`` as a basis-state index on n_qubits: an integer in [0, 2**n_qubits)."""
+    index = integer(index, "index")
     if not 0 <= index < (1 << n_qubits):
         raise DimensionMismatch(f"index {index} out of range for {n_qubits} qubits")
+    return index
+
+
+def basis_state(n_qubits: int, index: int) -> np.ndarray:
+    """Computational basis state |index> on n_qubits."""
     state = np.zeros(1 << n_qubits, dtype=complex)
-    state[index] = 1.0
+    state[basis_index(n_qubits, index)] = 1.0
     return state
 
 

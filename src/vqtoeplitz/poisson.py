@@ -14,6 +14,7 @@ d one-dimensional copies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 import scipy.sparse
@@ -120,7 +121,7 @@ def boundary_coefficients(bc: BoundaryCondition, n: int) -> tuple[float, float]:
 def poisson_sparse(problem: PoissonProblem) -> scipy.sparse.csr_matrix:
     """CSR operator of any supported problem: the tridiagonal [-1, 2, -1]
     band with boundary-adjusted corners, as a Kronecker sum over d axes."""
-    n, axes = problem.n, problem.dimension
+    n = problem.n
     diagonal = np.full(n, 2.0)
     if problem.boundary.kind == "unified":
         c, d = boundary_coefficients(problem.boundary, n)
@@ -128,14 +129,7 @@ def poisson_sparse(problem: PoissonProblem) -> scipy.sparse.csr_matrix:
         diagonal[n - 1] -= d
     off = np.full(n - 1, -1.0)
     one_d = scipy.sparse.diags([off, diagonal, off], [-1, 0, 1], format="csr")
-    eye = scipy.sparse.identity(n, format="csr")
-    total = scipy.sparse.csr_matrix((problem.total_dim, problem.total_dim))
-    for site in range(axes):
-        term = one_d if site == 0 else eye
-        for k in range(1, axes):
-            term = scipy.sparse.kron(term, one_d if k == site else eye, format="csr")
-        total = total + term
-    return total
+    return reduce(scipy.sparse.kronsum, [one_d] * problem.dimension).tocsr()
 
 
 def build_poisson(problem: PoissonProblem) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse
 
 from .linalg import DimensionMismatch, check_dense, integer, power_of_two, real
 
@@ -62,17 +63,18 @@ class ToeplitzSpec:
         )
 
 
+def band_sparse(spec: ToeplitzSpec) -> scipy.sparse.csr_matrix:
+    """The band as an n x n CSR matrix, the one construction every view of
+    it reads.  Offset l > 0 is the l-th subdiagonal, scipy's diagonal -l."""
+    coeffs = spec.coeffs or {0: 0.0}  # scipy needs at least one diagonal
+    return scipy.sparse.diags([np.full(spec.n - abs(l), t) for l, t in coeffs.items()],
+                              [-l for l in coeffs], shape=(spec.n, spec.n), format="csr")
+
+
 def toeplitz_to_dense(spec: ToeplitzSpec) -> np.ndarray:
     """Dense n x n matrix of the band, within the dense cap."""
     check_dense(spec.n, "size")
-    out = np.zeros((spec.n, spec.n))
-    for l, t in spec.coeffs.items():
-        idx = np.arange(spec.n - abs(l))
-        if l >= 0:
-            out[idx + l, idx] = t
-        else:
-            out[idx, idx - l] = t
-    return out
+    return band_sparse(spec).toarray()
 
 
 def phase_spectrum(n: int, power: int) -> tuple[float, ...]:

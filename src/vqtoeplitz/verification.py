@@ -22,15 +22,10 @@ from .circuits import (
     qft_circuit,
 )
 from .linalg import build_unit_circulant, dft_matrix, random_state
-from .poisson import (
-    BoundaryCondition,
-    PoissonProblem,
-    build_poisson,
-    build_poisson_dd,
-    poisson_sparse,
-)
+from .poisson import BoundaryCondition, PoissonProblem, poisson_sparse
 from .toeplitz import ToeplitzSpec, phase_spectrum, phase_spectrum_diagonal, toeplitz_to_dense
-from .vqa import AnsatzSpec, ansatz_state, dense_hamiltonian, make_linear_system_cost
+from .vqa import (AnsatzSpec, ansatz_state, default_term_lists, dense_hamiltonian,
+                  make_linear_system_cost)
 
 
 SAMPLES = 40  # random bands per toeplitz check
@@ -120,36 +115,24 @@ def _check_phase_towers() -> CheckResult:
 
 
 def _decomposition_checks(rng) -> list[CheckResult]:
-    results = []
-    err_1d = 0.0
-    for n in (4, 8, 16):
-        a_terms, a2_terms = deco.decompose_dirichlet_1d(n)
-        problem = PoissonProblem(1, n.bit_length() - 1)
-        a_dense = build_poisson(problem)
-        err_1d = max(err_1d, np.max(np.abs(deco.reconstruct_dense(a_terms) - a_dense)))
-        err_1d = max(err_1d, np.max(np.abs(deco.reconstruct_dense(a2_terms) - a_dense @ a_dense)))
-    results.append(CheckResult("decompose/dirichlet-1d", float(err_1d), 1e-12))
-
-    err_uni = 0.0
-    for n in (4, 8, 16):
-        c, d = rng.uniform(0.0, 1.0, 2)
-        a_terms, a2_terms = deco.decompose_unified_1d(n, c, d)
-        dense = toeplitz_to_dense(ToeplitzSpec(n, {-1: -1, 0: 2, 1: -1}))
-        dense[0, 0] -= c
-        dense[n - 1, n - 1] -= d
-        err_uni = max(err_uni, np.max(np.abs(deco.reconstruct_dense(a_terms) - dense)))
-        err_uni = max(err_uni, np.max(np.abs(deco.reconstruct_dense(a2_terms) - dense @ dense)))
-    results.append(CheckResult("decompose/unified-1d", float(err_uni), 1e-12))
-
-    err_dd = 0.0
-    for dim, nq in ((1, 2), (2, 2), (2, 1), (3, 1)):
-        problem = PoissonProblem(dim, nq)
-        dense = build_poisson_dd(problem)
-        terms = deco.decompose_dirichlet_dd(dim, problem.n)
-        squared = deco.decompose_dirichlet_dd_squared(dim, problem.n)
-        err_dd = max(err_dd, np.max(np.abs(deco.reconstruct_dense(terms) - dense)))
-        err_dd = max(err_dd, np.max(np.abs(deco.reconstruct_dense(squared) - dense @ dense)))
-    results.append(CheckResult("decompose/dirichlet-dd", float(err_dd), 1e-12))
+    """Each family's term lists rebuild its operator and the square, checked
+    by the pre-solve gate ``verify_problem_terms``."""
+    cases = {"dirichlet-1d": [], "unified-1d": [], "dirichlet-dd": []}
+    for q in (2, 3, 4):  # n = 4, 8, 16
+        n = 1 << q
+        cases["dirichlet-1d"].append((PoissonProblem(1, q), deco.decompose_dirichlet_1d(n)))
+        c, d = rng.uniform(0.0, 1.0, 2)  # the corner perturbations of this boundary
+        bc = BoundaryCondition.unified(c, (1 - c) * (n + 1), d, (1 - d) * (n + 1))
+        unified = PoissonProblem(1, q, bc)
+        cases["unified-1d"].append((unified, default_term_lists(unified)))
+    for dim, q in ((1, 2), (2, 2), (2, 1), (3, 1)):
+        n = 1 << q
+        terms = deco.decompose_dirichlet_dd(dim, n), deco.decompose_dirichlet_dd_squared(dim, n)
+        cases["dirichlet-dd"].append((PoissonProblem(dim, q), terms))
+    results = [
+        CheckResult(f"decompose/{name}", max(verify_problem_terms(*case) for case in family), 1e-12)
+        for name, family in cases.items()
+    ]
 
     count_err = 0
     for n in (8,):

@@ -126,7 +126,7 @@ def _label(op: deco.Operator) -> str:
 
 class Cost:
     """E(theta) = <psi|G|psi> - <b|A|psi>^2 from the term lists of A and G
-    and a real state b.
+    and a real unit state b.  Each operator must act on the lists' grid.
 
     The k-th evaluation (k = 0, 1, ...; ``__call__`` and ``report`` alike)
     samples with seed + 7919*k, so a fresh cost's first evaluation is the
@@ -144,9 +144,21 @@ class Cost:
                 f"ansatz acts on {ansatz.num_qubits} qubits, A and G on (n, d) = {grids}"
                 f" grids and b has {b.size} amplitudes"
             )
+        if not abs(np.linalg.norm(b) - 1.0) <= 1e-12:
+            raise ValueError("b must be a finite unit vector")
+        for op in (term.op for terms in (a_terms, g_terms) for term in terms.terms):
+            # a band acts on (n, 1), a word has one letter per axis, a projector fits n^d
+            if isinstance(op, ToeplitzSpec):
+                fits = (op.n, 1) == grids[0]
+            elif isinstance(op, deco.ProjectorPair):
+                fits = all(0 <= k < b.size for entry in op.pairs for k in entry)
+            else:
+                fits = len(op.letters) == grids[0][1]
+            if not fits:
+                raise DimensionMismatch(f"{op} does not fit the (n, d) = {grids[0]} grid")
         if shots is not None:
             shots = integer(shots, "shots", 1, ShotCountZero)
-        # each projector preparation's (real) state
+        # each projector preparation's (real) state, and each word's (perm, sign)
         self._bell_states = {
             term.op: [
                 (run_statevector(prep).real, sign)
@@ -154,6 +166,12 @@ class Cost:
             ]
             for term in g_terms.terms
             if isinstance(term.op, deco.ProjectorPair)
+        }
+        self._words = {
+            term.op: deco.word_permutation(term.op.letters, a_terms.n)
+            for terms in (a_terms, g_terms)
+            for term in terms.terms
+            if isinstance(term.op, deco.TensorWord)
         }
         self.a_terms, self.g_terms, self.b = a_terms, g_terms, b
         self.ansatz, self.shots, self.seed = ansatz, shots, integer(seed, "seed", 0)
@@ -190,7 +208,7 @@ class Cost:
             return test(np.dot(left[: n + power], psi[-power:]))
 
         def word(left: np.ndarray, op: deco.TensorWord) -> float:
-            perm, sign = deco.word_permutation(op.letters, n)
+            perm, sign = self._words[op]
             return test(np.dot(left, sign * psi[perm]))
 
         def cross(op: deco.Operator) -> float:
@@ -198,12 +216,7 @@ class Cost:
                 return sum(coeff * shift(b, power) for power, coeff in op.coeffs.items())
             if isinstance(op, deco.ProjectorPair):
                 amp = cache(lambda j: test(psi[j]))  # <j|psi>, one bracket per amplitude
-                total = 0.0
-                for i, j in op.pairs:
-                    total += b[i] * amp(j)
-                    if op.symmetrize and i != j:
-                        total += b[j] * amp(i)
-                return total
+                return sum(b[i] * amp(j) for i, j in op.entries)
             return word(b, op)
 
         def same(op: deco.Operator) -> float:

@@ -1,13 +1,17 @@
 """Counts, power-of-two sizes and the dense cap follow one rule in every
 entry point: a bool or a float is a TypeError, never truncated; a value too
 small, or not a power of two, is a ValueError (or the subclass each entry
-point documents); a dense construction past the cap is a DimensionOverflow."""
+point documents); a dense construction past the cap is a DimensionOverflow.
+An index past its range, a circuit of the wrong width or an operator off its
+term list's grid is a DimensionMismatch; a vector with a non-finite entry,
+or a cost's b that is not a unit vector, is a ValueError."""
 
+import numpy as np
 import pytest
 
 from vqtoeplitz import circuits, decomposition as deco, linalg, vqa
 from vqtoeplitz.circuits import Circuit
-from vqtoeplitz.linalg import DimensionOverflow
+from vqtoeplitz.linalg import DimensionMismatch, DimensionOverflow
 from vqtoeplitz.poisson import PoissonProblem, prepare_b
 from vqtoeplitz.toeplitz import ToeplitzSpec, toeplitz_to_dense
 
@@ -16,6 +20,13 @@ def _cost(**kwargs):
     a_terms, g_terms = deco.decompose_dirichlet_1d(4)
     b = prepare_b(PoissonProblem(1, 2))
     return vqa.Cost(a_terms, g_terms, b, vqa.AnsatzSpec(2, 1), **kwargs)
+
+
+def _cost_on(op, b=None):
+    """A 1-D n = 8 cost whose A list holds ``op`` alone."""
+    a_terms = deco.TermList((deco.DecompositionTerm(1.0, op),), 8, 1, "a")
+    b = prepare_b(PoissonProblem(1, 3)) if b is None else b
+    return vqa.Cost(a_terms, deco.decompose_dirichlet_1d(8)[1], b, vqa.AnsatzSpec(3, 1))
 
 
 def _hadamard_test(shots):
@@ -47,6 +58,18 @@ def _hadamard_test(shots):
         (lambda: linalg.power_of_two(True, "n", 1), TypeError),
         (lambda: linalg.power_of_two(3, "size", 1, linalg.DimensionMismatch),
          linalg.DimensionMismatch),
+        (lambda: circuits.basis_prep_circuit(3, 9), DimensionMismatch),
+        (lambda: linalg.basis_state(3, 1.5), TypeError),
+        (lambda: circuits.hadamard_test(3, circuits.controlled_Ll_circuit(4, 1),
+                                        circuits.uniform_prep_circuit(3),
+                                        circuits.uniform_prep_circuit(3)), DimensionMismatch),
+        (lambda: linalg.normalize([1.0, np.nan]), ValueError),
+        (lambda: vqa.make_toeplitz_system_cost(ToeplitzSpec(8, {0: 1.0}), [np.nan] + [1.0] * 7,
+                                               vqa.AnsatzSpec(3, 1)), ValueError),
+        (lambda: _cost_on(ToeplitzSpec(8, {0: 1.0}), np.ones(8)), ValueError),
+        (lambda: _cost_on(deco.ProjectorPair(((-1, -1),))), DimensionMismatch),
+        (lambda: _cost_on(ToeplitzSpec(16, {0: 1.0})), DimensionMismatch),
+        (lambda: _cost_on(deco.TensorWord(("L", "L"))), DimensionMismatch),
     ],
     ids=["cost-shots-fraction", "cost-shots-boolean", "cost-seed-negative",
          "sample-shots-fraction", "hadamard-shots-fraction", "ansatz-qubits-fraction",
@@ -54,7 +77,10 @@ def _hadamard_test(shots):
          "optimizer-seed-negative", "band-offset-fraction", "band-offset-boolean",
          "band-dense-past-cap", "shift-power-fraction", "power-of-two-six", "power-of-two-below-minimum",
          "power-of-two-zero", "power-of-two-float", "power-of-two-boolean",
-         "power-of-two-own-error"],
+         "power-of-two-own-error", "basis-prep-index-past-range", "basis-state-index-fraction",
+         "hadamard-controlled-too-narrow", "normalize-nan", "system-cost-nan-b",
+         "cost-b-not-unit", "cost-projector-negative-index", "cost-band-other-size",
+         "cost-word-other-dimension"],
 )
 def test_rule_rejects(build, error):
     with pytest.raises(error) as info:
