@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .decomposition import ProjectorPair
-from .linalg import DimensionMismatch, basis_state, integer, power_of_two
+from .linalg import DimensionMismatch, integer, power_of_two
 from .toeplitz import phase_spectrum
 
 
@@ -82,16 +82,21 @@ class Circuit:
     num_qubits: int
     gates: list[Gate] = field(default_factory=list)
 
-    def _check(self, *qubits: int):
+    def __post_init__(self):
+        self.num_qubits = integer(self.num_qubits, "num_qubits", 1)
+
+    def _check(self, *qubits) -> tuple[int, ...]:
+        """The qubit indices as ints: each an integer in range, none repeated."""
+        qubits = tuple(integer(q, "qubit") for q in qubits)
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"duplicate qubit in {qubits}")
         for q in qubits:
             if not 0 <= q < self.num_qubits:
                 raise ValueError(f"qubit {q} out of range for {self.num_qubits} qubits")
+        return qubits
 
     def _add(self, tag, qubits, matrix, angle=None) -> "Circuit":
-        self._check(*qubits)
-        self.gates.append(Gate(tag, tuple(qubits), matrix, angle))
+        self.gates.append(Gate(tag, self._check(*qubits), matrix, angle))
         return self
 
     def h(self, q):
@@ -187,7 +192,8 @@ def run_statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.n
     """Exact simulation; returns the final statevector."""
     dim = 1 << circuit.num_qubits
     if initial is None:
-        state = basis_state(circuit.num_qubits, 0)
+        state = np.zeros(dim, dtype=complex)
+        state[0] = 1.0
     else:
         state = np.asarray(initial, dtype=complex)
         if state.shape != (dim,):

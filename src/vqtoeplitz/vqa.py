@@ -15,15 +15,18 @@ with A = T_s^T, T_s = T/||T v0||, and b = v0:
 
 which vanishes exactly when |psi> matches the normalized image T|v0>.
 
-Both modes prepare the ansatz statevector once per evaluation and
-evaluate the same estimations, the units of the gate-level circuits
-(``circuits``): one Hadamard-test bracket per shift power of a band, one
-per distinct amplitude of a projector pair's cross term, one per tensor
-word, one all-zeros probability per projector preparation circuit.  Exact
-mode takes each estimation at its exact value.  Shot mode draws each from
-its exact probability: the ancilla of the Hadamard test of a bracket x reads
-0 with probability (1 + x)/2, a projector circuit reads all zeros with
-probability <prep|psi>^2, and each is a Binomial(shots, p) draw.
+Both modes prepare the ansatz statevector once per evaluation, with the
+real kernel ``ansatz_state`` (each Ry a two-row update, each layer's CNOT
+chain one gather; it equals the gate-level simulation of ``ansatz_circuit``
+within 1e-14), and evaluate the same estimations, the units of the
+gate-level circuits (``circuits``): one Hadamard-test bracket per shift
+power of a band, one per distinct amplitude of a projector pair's cross
+term, one per tensor word, one all-zeros probability per projector
+preparation circuit.  Exact mode takes each estimation at its exact value.
+Shot mode draws each from its exact probability: the ancilla of the
+Hadamard test of a bracket x reads 0 with probability (1 + x)/2, a
+projector circuit reads all zeros with probability <prep|psi>^2, and each
+is a Binomial(shots, p) draw.
 """
 
 from __future__ import annotations
@@ -34,10 +37,15 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-import scipy.optimize
 
 from . import decomposition as deco
-from .circuits import Circuit, ShotCountZero, bell_pair_circuits, run_statevector
+from .circuits import (
+    Circuit,
+    NonUnitaryBlock,
+    ShotCountZero,
+    bell_pair_circuits,
+    run_statevector,
+)
 from .linalg import DimensionMismatch, dense_solve, fidelity, integer, normalize, num_qubits
 from .poisson import PoissonProblem, boundary_coefficients, build_poisson, prepare_b
 from .toeplitz import ToeplitzSpec, classical_toeplitz_matvec
@@ -72,12 +80,17 @@ class AnsatzSpec:
         return self.depth * self.num_qubits
 
 
-def ansatz_circuit(spec: AnsatzSpec, params: np.ndarray) -> Circuit:
+def _checked_params(spec: AnsatzSpec, params) -> np.ndarray:
     params = np.asarray(params, dtype=float)
     if params.shape != (spec.param_count,):
         raise LengthMismatch(
             f"expected {spec.param_count} parameters, got {params.shape}"
         )
+    return params
+
+
+def ansatz_circuit(spec: AnsatzSpec, params: np.ndarray) -> Circuit:
+    params = _checked_params(spec, params)
     circ = Circuit(spec.num_qubits)
     for layer in params.reshape(spec.depth, spec.num_qubits):
         for q, theta in enumerate(layer):
@@ -87,9 +100,42 @@ def ansatz_circuit(spec: AnsatzSpec, params: np.ndarray) -> Circuit:
     return circ
 
 
+@cache
+def _cnot_chain(qubits: int) -> np.ndarray:
+    """The gather of one layer's CNOT chain: after cnot(0, 1) ... cnot(N-2, N-1)
+    the amplitude at index i is the one at ``gather[i]`` before it."""
+    index = np.arange(1 << qubits)
+    gather = index
+    for q in range(qubits - 1):
+        # cnot(q, q + 1) flips bit q + 1 where bit q is set; it is its own inverse
+        gather = gather[index ^ (((index >> q) & 1) << (q + 1))]
+    gather.flags.writeable = False
+    return gather
+
+
 def ansatz_state(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
-    """The ansatz statevector, real (float64): Ry and CNOT are real gates."""
-    return np.ascontiguousarray(run_statevector(ansatz_circuit(spec, params)).real)
+    """The ansatz statevector, real (float64): each Ry(theta) on qubit q is a
+    two-row update of ``psi.reshape(-1, 2, 2**q)`` and each layer's CNOT chain
+    one gather.  It equals ``run_statevector(ansatz_circuit(...))`` within
+    1e-14; a state whose norm is not 1 (a NaN parameter) raises NonUnitaryBlock."""
+    params = _checked_params(spec, params)
+    qubits = spec.num_qubits
+    half = params.reshape(spec.depth, qubits) / 2
+    cos = np.cos(half)
+    # the rows (a0, a1) -> cos * (a0, a1) + (-sin, sin) * (a1, a0)
+    signed_sin = np.sin(half)[:, :, None, None] * np.array([[-1.0], [1.0]])
+    gather = _cnot_chain(qubits)
+    psi = np.zeros(1 << qubits)
+    psi[0] = 1.0
+    for layer in range(spec.depth):
+        for q in range(qubits):
+            rows = psi.reshape(-1, 2, 1 << q)
+            psi = (cos[layer, q] * rows + signed_sin[layer, q] * rows[:, ::-1]).reshape(-1)
+        psi = psi[gather]
+    norm = float(np.sqrt(np.dot(psi, psi)))
+    if not abs(norm - 1.0) < 1e-12:
+        raise NonUnitaryBlock(f"the ansatz changed the state norm from 1 to {norm}")
+    return psi
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +420,53 @@ class _StallStop(Exception):
     pass
 
 
+def _nelder_mead(func, x0: np.ndarray) -> None:
+    """Nelder-Mead from ``x0`` until the simplex spans at most 1e-12 in every
+    coordinate and 1e-14 in value; ``func`` ends it sooner by raising.
+
+    The first simplex (each coordinate of x0 in turn scaled by 1.05, or set to
+    0.00025 where it is 0) and the steps (reflect, expand by 2, contract and
+    shrink by 1/2) are those of scipy's default Nelder-Mead, so ``func`` sees
+    the same points in the same order, without the 19 MB of resident memory
+    that importing ``scipy.optimize`` takes (scipy 1.17).
+    """
+    n = x0.size
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([func(x.copy()) for x in sim])
+    while True:
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-12
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-14):
+            return
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = func(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # contract outside the simplex
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = func(xc)
+                accept = fxc <= fxr
+            else:  # contract inside it
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = func(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink toward the best point
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j].copy())
+
+
 def optimize(
     cost,
     spec: AnsatzSpec,
@@ -410,17 +503,7 @@ def optimize(
             return value
 
         try:
-            scipy.optimize.minimize(
-                wrapped,
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "maxiter": config.max_iters,
-                    "maxfev": config.max_iters,
-                    "xatol": 1e-12,
-                    "fatol": 1e-14,
-                },
-            )
+            _nelder_mead(wrapped, x0)
         except _StallStop:
             pass
 

@@ -70,6 +70,9 @@ def _hadamard_test(shots):
         (lambda: _cost_on(deco.ProjectorPair(((-1, -1),))), DimensionMismatch),
         (lambda: _cost_on(ToeplitzSpec(16, {0: 1.0})), DimensionMismatch),
         (lambda: _cost_on(deco.TensorWord(("L", "L"))), DimensionMismatch),
+        (lambda: Circuit(2).x(True), TypeError),
+        (lambda: Circuit(2).x(1.0), TypeError),
+        (lambda: Circuit(2.5), TypeError),
     ],
     ids=["cost-shots-fraction", "cost-shots-boolean", "cost-seed-negative",
          "sample-shots-fraction", "hadamard-shots-fraction", "ansatz-qubits-fraction",
@@ -80,7 +83,8 @@ def _hadamard_test(shots):
          "power-of-two-own-error", "basis-prep-index-past-range", "basis-state-index-fraction",
          "hadamard-controlled-too-narrow", "normalize-nan", "system-cost-nan-b",
          "cost-b-not-unit", "cost-projector-negative-index", "cost-band-other-size",
-         "cost-word-other-dimension"],
+         "cost-word-other-dimension", "circuit-qubit-boolean", "circuit-qubit-fraction",
+         "circuit-count-fraction"],
 )
 def test_rule_rejects(build, error):
     with pytest.raises(error) as info:

@@ -1,5 +1,6 @@
 """Ansatz, cost assembly vs dense oracle, optimizer behavior."""
 
+import contextlib
 import gc
 import itertools
 import tracemalloc
@@ -11,6 +12,7 @@ import scipy.sparse
 from vqtoeplitz import decomposition as deco
 from vqtoeplitz.circuits import (
     Circuit,
+    NonUnitaryBlock,
     ShotCountZero,
     UnsupportedPattern,
     basis_prep_circuit,
@@ -31,6 +33,7 @@ from vqtoeplitz.vqa import (
     LengthMismatch,
     OptimizerConfig,
     ZeroImage,
+    _nelder_mead,
     ansatz_circuit,
     ansatz_state,
     dense_hamiltonian,
@@ -69,22 +72,31 @@ def test_ansatz_norm_and_param_count():
 
 def test_ansatz_amplitudes_are_real():
     # the premise of the real cost: Ry and CNOT keep every amplitude real, so
-    # ansatz_state is the float64 real part of the gate-level simulation
+    # the float64 kernel ansatz_state equals the gate-level simulation
     rng = np.random.default_rng(79)
     for qubits in range(1, 13):
-        for depth in (1, 3):
+        for depth in (1, 2, 3):
             spec = AnsatzSpec(qubits, depth)
             params = rng.uniform(0, 2 * np.pi, spec.param_count)
             reference = run_statevector(ansatz_circuit(spec, params))
             assert np.all(reference.imag == 0)
             state = ansatz_state(spec, params)
             assert state.dtype == np.float64
-            np.testing.assert_array_equal(state, reference.real)
+            np.testing.assert_allclose(state, reference.real, rtol=0, atol=1e-14)
 
 
 def test_ansatz_length_mismatch():
     with pytest.raises(LengthMismatch):
         ansatz_circuit(AnsatzSpec(3, 2), np.zeros(5))
+    with pytest.raises(LengthMismatch):
+        ansatz_state(AnsatzSpec(3, 2), np.zeros(5))
+
+
+def test_ansatz_state_rejects_nan_parameter():
+    params = np.zeros(6)
+    params[4] = np.nan
+    with pytest.raises(NonUnitaryBlock):
+        ansatz_state(AnsatzSpec(3, 2), params)
 
 
 def test_ansatz_layer_structure():
@@ -622,6 +634,42 @@ def test_optimize_counts_evaluations_up_to_max_iters():
     config = OptimizerConfig(restarts=1, seed=5, max_iters=100)
     trace = optimize(improving, spec, config)
     assert len(calls) == len(trace.records) == config.max_iters
+
+
+@pytest.mark.parametrize("start", [0, 1])
+def test_nelder_mead_matches_scipy(start):
+    # the optimizer's Nelder-Mead evaluates the points scipy's default one does,
+    # in the same order: on the paper cost until a cap stops it, and on
+    # Rosenbrock's function until the simplex converges
+    import scipy.optimize
+
+    class Cap(Exception):
+        pass
+
+    def recorded(f, cap):
+        points = []
+
+        def g(x):
+            if len(points) == cap:
+                raise Cap
+            points.append(np.array(x))
+            return f(x)
+
+        return points, g
+
+    paper = make_linear_system_cost(PoissonProblem(1, 3), AnsatzSpec(3, 2))
+    x0 = np.random.default_rng(start).uniform(0, 2 * np.pi, 6)
+    rosen = scipy.optimize.rosen
+    for f, x0, cap in ((paper, x0, 600), (rosen, np.array([-1.2, 1.0 + start]), 10**4)):
+        ours, g = recorded(f, cap)
+        theirs, h = recorded(f, cap)
+        with contextlib.suppress(Cap):
+            _nelder_mead(g, x0)
+        with contextlib.suppress(Cap):
+            scipy.optimize.minimize(h, x0, method="Nelder-Mead", options={
+                "maxiter": 10**6, "maxfev": 10**6, "xatol": 1e-12, "fatol": 1e-14})
+        assert len(ours) == len(theirs) < 10**4
+        np.testing.assert_array_equal(ours, theirs)
 
 
 def test_optimizer_config_rejects_empty_budgets():
