@@ -21,7 +21,6 @@ import numbers
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 # Dense dimension cap: 12 qubits keeps every oracle check interactive.
 MAX_DENSE_DIM = 4096
@@ -56,8 +55,11 @@ def dense_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a @ x = b`` by LU with partial pivoting.
 
     Raises SingularMatrix when any pivot magnitude drops below 1e-12 or
-    the residual fails the 1e-10 * ||b||_inf bound.
+    the residual fails the 1e-10 * ||b||_inf bound.  ``scipy.linalg`` is
+    imported here, its one user, so importing the package does not load it.
     """
+    import scipy.linalg
+
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -4,9 +4,10 @@ Every cost is one functional of two decompositions and a state b:
 
     E(theta) = <psi|G|psi> - <b|A|psi>^2
 
-assembled term by term by ``Cost``.  Everything here is real: the bands, the
-projector pairs and the words are real matrices, b is a real vector, and the
-Ry + CNOT ansatz has real amplitudes, so every bracket is a real number.
+assembled by ``Cost`` from the term lists.  Everything here is real: the
+bands, the projector pairs and the words are real matrices, b is a real
+vector, and the Ry + CNOT ansatz has real amplitudes, so every bracket is a
+real number.
 The linear-system costs take G = A^2 (Poisson) or G = T^T T (banded system);
 the matrix-vector cost for a banded T and input state v0 is the G = I case
 with A = T_s^T, T_s = T/||T v0||, and b = v0:
@@ -22,11 +23,15 @@ within 1e-14), and evaluate the same estimations, the units of the
 gate-level circuits (``circuits``): one Hadamard-test bracket per shift
 power of a band, one per distinct amplitude of a projector pair's cross
 term, one per tensor word, one all-zeros probability per projector
-preparation circuit.  Exact mode takes each estimation at its exact value.
-Shot mode draws each from its exact probability: the ancilla of the
-Hadamard test of a bracket x reads 0 with probability (1 + x)/2, a
-projector circuit reads all zeros with probability <prep|psi>^2, and each
-is a Binomial(shots, p) draw.
+preparation circuit.  ``Cost`` compiles them once into an estimation
+table, so an evaluation is a few array operations, not a Python call per
+term: one matrix-vector product for the brackets <b|P|psi>, blocked
+signed gathers for the brackets <psi|P|psi>, one matrix-vector product
+for the projector probabilities, and two weighted sums.  Exact mode takes
+each estimation at its exact value.  Shot mode draws all of them with one
+Binomial(shots, p) call over the table's probabilities: the ancilla of the
+Hadamard test of a bracket x reads 0 with probability (1 + x)/2, and a
+projector circuit reads all zeros with probability <prep|psi>^2.
 """
 
 from __future__ import annotations
@@ -170,9 +175,32 @@ def _label(op: deco.Operator) -> str:
     return "word[" + "*".join(op.letters) + "]"
 
 
+# The <psi|P|psi> gathers run in blocks of at most this many amplitudes: from
+# 2^15 amplitudes on, one bracket per block, since one gather of every word at
+# once is memory-bound and slower there.
+_GATHER_BLOCK = 1 << 15
+
+
 class Cost:
     """E(theta) = <psi|G|psi> - <b|A|psi>^2 from the term lists of A and G
     and a real unit state b.  Each operator must act on the lists' grid.
+
+    The constructor compiles both lists into one estimation table, in the
+    order the estimations are drawn (A's terms, then G's):
+
+    * each bracket <b|P|psi> (a shift power of a band, a distinct amplitude
+      <j|psi> of a projector pair, a word) is a row r = P^T b of a matrix R,
+    * each bracket <psi|P|psi> (a shift power |p| of a band, a word) is a
+      signed gather (P psi)[i] = sign[i] psi[perm[i]]; the shift L^p on the
+      zero-padded register has perm = max(i - p, 0) and sign = [i >= p],
+    * each projector preparation circuit's all-zeros probability is
+      <prep|psi>^2, with its state a row of a matrix S.
+
+    The estimations e then give E = w_g.e + c_g - (w_a.e)^2, where the
+    weights fold in the coefficients, the shared bracket of the powers +p
+    and -p, and the doubling of a conjugate pair W + W^T, and c_g is the
+    band's zero offset plus the identity words.  ``estimations`` is the
+    table's length, the number of estimations each evaluation draws.
 
     The k-th evaluation (k = 0, 1, ...; ``__call__`` and ``report`` alike)
     samples with seed + 7919*k, so a fresh cost's first evaluation is the
@@ -204,30 +232,103 @@ class Cost:
                 raise DimensionMismatch(f"{op} does not fit the (n, d) = {grids[0]} grid")
         if shots is not None:
             shots = integer(shots, "shots", 1, ShotCountZero)
-        # each projector preparation's (real) state, and each word's (perm, sign)
-        self._bell_states = {
-            term.op: [
-                (run_statevector(prep).real, sign)
-                for prep, sign in bell_pair_circuits(term.op, qubits)
-            ]
-            for term in g_terms.terms
-            if isinstance(term.op, deco.ProjectorPair)
-        }
-        self._words = {
-            term.op: deco.word_permutation(term.op.letters, a_terms.n)
-            for terms in (a_terms, g_terms)
-            for term in terms.terms
-            if isinstance(term.op, deco.TensorWord)
-        }
         self.a_terms, self.g_terms, self.b = a_terms, g_terms, b
         self.ansatz, self.shots, self.seed = ansatz, shots, integer(seed, "seed", 0)
         self._evals = itertools.count()
+        self._compile(qubits)
+
+    def _compile(self, qubits: int) -> None:
+        """Build the estimation table of the class docstring."""
+        n, b = self.a_terms.n, self.b
+        index = np.arange(b.size)
+        banks = ([], [], [])  # R rows, (perm, sign) gathers, S rows
+        slots = []  # (bank, position in it) of each estimation, in draw order
+        terms = [(term, False) for term in self.a_terms.terms]
+        terms += [(term, True) for term in self.g_terms.terms]
+        # each term's value is sum(weight * e[slot] for slot, weight in value) + constant
+        values, constants = [], np.zeros(len(terms))
+
+        def estimate(bank: int, item) -> int:
+            banks[bank].append(item)
+            slots.append((bank, len(banks[bank]) - 1))
+            return len(slots) - 1
+
+        for t, (term, same) in enumerate(terms):
+            op, value = term.op, {}
+            if isinstance(op, ToeplitzSpec) and not same:
+                for power, coeff in op.coeffs.items():
+                    row = np.zeros(n)  # <b|L^power|psi> on the zero-padded register
+                    row[max(-power, 0): n - max(power, 0)] = b[max(power, 0): n + min(power, 0)]
+                    value[estimate(0, row)] = coeff
+            elif isinstance(op, ToeplitzSpec):
+                # <psi|L^-p|psi> = <psi|L^p|psi>: one bracket per |power|
+                c = op.coeffs
+                constants[t] = c.get(0, 0.0)
+                for power in sorted({abs(p) for p in c} - {0}):
+                    gather = (np.maximum(index - power, 0), (index >= power).astype(float))
+                    value[estimate(1, gather)] = c.get(power, 0.0) + c.get(-power, 0.0)
+            elif isinstance(op, deco.ProjectorPair) and not same:
+                amp = {}  # <j|psi>, one bracket per distinct amplitude
+                for i, j in op.entries:
+                    if j not in amp:
+                        amp[j] = estimate(0, (index == j).astype(float))
+                    value[amp[j]] = value.get(amp[j], 0.0) + b[i]
+            elif isinstance(op, deco.ProjectorPair):
+                # one all-zeros probability <prep|psi>^2 per preparation circuit
+                for prep, sign in bell_pair_circuits(op, qubits):
+                    value[estimate(2, run_statevector(prep).real)] = sign
+            elif same and op.is_identity:
+                constants[t] = 1.0
+            else:
+                perm, sign = deco.word_permutation(op.letters, n)
+                if same:
+                    value[estimate(1, (perm, sign))] = 1.0
+                else:  # <b|W|psi> = sum_i b[i] sign[i] psi[perm[i]]
+                    row = np.zeros(b.size)
+                    row[perm] = b * sign
+                    value[estimate(0, row)] = 1.0
+            values.append(value)
+
+        self.estimations = len(slots)
+        self._labels = [_label(term.op) for term, _ in terms]
+        self._values = np.zeros((len(terms), self.estimations))
+        for t, value in enumerate(values):
+            self._values[t, list(value)] = list(value.values())
+        self._constants = constants
+        # a conjugate pair W + W^T: <psi|W^T|psi> = <psi|W|psi>
+        self._weights = np.array(
+            [(2 if term.conjugate_pair else 1) * term.coefficient for term, _ in terms]
+        )
+        g_weights = np.where([same for _, same in terms], self._weights, 0.0)
+        self._w_a = (self._weights - g_weights) @ self._values
+        self._w_g = g_weights @ self._values
+        self._c_g = float(g_weights @ constants)
+
+        rows, gathers, preps = banks
+        self._rows = np.array(rows).reshape(-1, b.size)
+        self._preps = np.array(preps).reshape(-1, b.size)
+        per_block = max(_GATHER_BLOCK // b.size, 1)
+        self._gathers = [  # (perm, sign) of each block, one row per bracket; no copy of one
+            tuple(np.stack(part) if len(part) > 1 else part[0][None]
+                  for part in zip(*gathers[k: k + per_block]))
+            for k in range(0, len(gathers), per_block)
+        ]
+        # concatenating the banks' values and taking ``_order`` gives draw order
+        offsets = np.cumsum([0, len(rows), len(gathers)])
+        self._order = np.array([offsets[bank] + k for bank, k in slots], dtype=int)
+        # a Hadamard test reads 0 with probability (1 + x)/2, a projector
+        # circuit reads all zeros with probability x
+        self._hadamard = np.array([bank != 2 for bank, _ in slots], dtype=bool)
 
     def __call__(self, params: np.ndarray) -> float:
-        return self.report(params)[0]
+        return self._energy(self._estimations(params))
 
     def report(self, params: np.ndarray) -> tuple[float, list[TermReport]]:
         """The cost and one report row per term, the overlap <b|A|psi> last."""
+        return self._report(self._estimations(params))
+
+    def _estimations(self, params: np.ndarray) -> np.ndarray:
+        """The k-th evaluation's estimations, drawn with seed + 7919*k."""
         seed = self.seed + 7919 * next(self._evals)
         psi = ansatz_state(self.ansatz, params)
         if self.shots is None:
@@ -236,73 +337,34 @@ class Cost:
         shots = self.shots
         return self._sampled(psi, lambda p: rng.binomial(shots, np.clip(p, 0.0, 1.0)) / shots)
 
-    def _sampled(self, psi: np.ndarray, draw=None) -> tuple[float, list[TermReport]]:
-        """``_energy`` from the circuits' estimations, each drawn as draw(p),
-        the estimated probability of an outcome whose exact probability is p,
-        or without ``draw`` taken at its exact value."""
-        n, b = self.a_terms.n, self.b
-        prob = (lambda p: p) if draw is None else draw  # a projector circuit's all-zeros outcome
+    def _sampled(self, psi: np.ndarray, draw=None) -> np.ndarray:
+        """The table's estimations at ``psi``, in draw order: with ``draw``,
+        draw(p) gives the estimated probabilities of outcomes whose exact
+        probabilities are the array p; without, each is its exact value."""
+        x = np.concatenate(
+            [self._rows @ psi]
+            + [(sign * psi[perm]) @ psi for perm, sign in self._gathers]
+            + [(self._preps @ psi) ** 2]
+        )[self._order]
+        if draw is None:
+            return x
+        drawn = draw(np.where(self._hadamard, (1.0 + x) / 2.0, x))
+        return np.where(self._hadamard, 2.0 * drawn - 1.0, drawn)  # ancilla bias 2 p0 - 1
 
-        def test(x: float) -> float:
-            """The Hadamard test of the bracket x: ancilla bias 2 p0 - 1."""
-            return float(x) if draw is None else 2.0 * draw((1.0 + x) / 2.0) - 1.0
+    def _energy(self, e: np.ndarray) -> float:
+        """<psi|G|psi> - <b|A|psi>^2 from the estimations e."""
+        return float(self._w_g @ e + self._c_g - (self._w_a @ e) ** 2)
 
-        def shift(left: np.ndarray, power: int) -> float:
-            """<left|L^power|psi> on the zero-padded circulant register."""
-            if power >= 0:
-                return test(np.dot(left[power:], psi[: n - power]))
-            return test(np.dot(left[: n + power], psi[-power:]))
-
-        def word(left: np.ndarray, op: deco.TensorWord) -> float:
-            perm, sign = self._words[op]
-            return test(np.dot(left, sign * psi[perm]))
-
-        def cross(op: deco.Operator) -> float:
-            if isinstance(op, ToeplitzSpec):
-                return sum(coeff * shift(b, power) for power, coeff in op.coeffs.items())
-            if isinstance(op, deco.ProjectorPair):
-                amp = cache(lambda j: test(psi[j]))  # <j|psi>, one bracket per amplitude
-                return sum(b[i] * amp(j) for i, j in op.entries)
-            return word(b, op)
-
-        def same(op: deco.Operator) -> float:
-            if isinstance(op, ToeplitzSpec):
-                # <psi|L^-p|psi> = <psi|L^p|psi>: one bracket per |power|
-                c = op.coeffs
-                total = c.get(0, 0.0)
-                for power in sorted({abs(p) for p in c} - {0}):
-                    total += (c.get(power, 0.0) + c.get(-power, 0.0)) * shift(psi, power)
-                return total
-            if isinstance(op, deco.ProjectorPair):
-                # one all-zeros probability <prep|psi>^2 per preparation circuit
-                states = self._bell_states[op]
-                return sum(sign * prob(np.dot(st, psi) ** 2) for st, sign in states)
-            return word(psi, op)
-
-        return self._energy(cross, same)
-
-    def _energy(self, cross, same) -> tuple[float, list[TermReport]]:
-        """<psi|G|psi> - <b|A|psi>^2 from the term values cross(op) =
-        <b|op|psi> and same(op) = <psi|op|psi>, one report row per term."""
-        report: list[TermReport] = []
-        linear = 0.0
-        for term in self.a_terms.terms:
-            value = cross(term.op)
-            contribution = term.coefficient * value
-            linear += contribution
-            report.append(TermReport(_label(term.op), value, contribution))
-        square = 0.0
-        for term in self.g_terms.terms:
-            if isinstance(term.op, deco.TensorWord) and term.op.is_identity:
-                value = 1.0
-            else:
-                value = same(term.op)
-            # a conjugate pair W + W^T: <psi|W^T|psi> = <psi|W|psi>
-            contribution = (2 if term.conjugate_pair else 1) * term.coefficient * value
-            square += contribution
-            report.append(TermReport(_label(term.op), value, contribution))
+    def _report(self, e: np.ndarray) -> tuple[float, list[TermReport]]:
+        """``_energy`` and one report row per term, the overlap <b|A|psi> last."""
+        values = self._values @ e + self._constants
+        report = [
+            TermReport(label, float(value), float(weight * value))
+            for label, value, weight in zip(self._labels, values, self._weights)
+        ]
+        linear = float(self._w_a @ e)
         report.append(TermReport("<b|A|psi>", linear, -linear**2))
-        return float(square - linear**2), report
+        return self._energy(e), report
 
 
 def make_linear_system_cost(problem: PoissonProblem, ansatz, shots=None, seed=0) -> Cost:

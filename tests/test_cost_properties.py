@@ -60,7 +60,8 @@ def exact_and_drawn(make, params, psi) -> float:
     """Exact mode's cost, after checking that the identity-draw shot report
     matches its report row by row."""
     energy, rows = make(None).report(params)
-    drawn, drawn_rows = make(1000)._sampled(psi, lambda p: p)
+    shot = make(1000)
+    drawn, drawn_rows = shot._report(shot._sampled(psi, lambda p: p))
     assert abs(drawn - energy) <= 1e-12
     assert [row.label for row in drawn_rows] == [row.label for row in rows]
     for row, ref in zip(rows, drawn_rows):

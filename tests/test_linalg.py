@@ -1,6 +1,10 @@
 """Oracle checks: DFT conventions, shift matrices, solves, state helpers."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,3 +173,20 @@ def test_num_qubits():
     assert num_qubits(np.zeros(8)) == 3
     with pytest.raises(DimensionMismatch):
         num_qubits(np.zeros(6))
+
+
+def test_package_import_skips_scipy_linalg_and_optimize():
+    # dense_solve imports scipy.linalg when it runs, and Nelder-Mead is in
+    # the package, so neither module's resident memory comes with the import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, vqtoeplitz; "
+        "print(sorted({'scipy.linalg', 'scipy.optimize'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -32,7 +32,9 @@ from vqtoeplitz.vqa import (
     Cost,
     LengthMismatch,
     OptimizerConfig,
+    TermReport,
     ZeroImage,
+    _label,
     _nelder_mead,
     ansatz_circuit,
     ansatz_state,
@@ -224,7 +226,7 @@ def test_bracket_engine_same_state_asymmetric_band():
         band = deco.TermList((deco.DecompositionTerm(1.0, spec),), 8, 1, "band")
         psi = normalize(rng.standard_normal(8))
         cost = Cost(band, band, normalize(rng.standard_normal(8)), AnsatzSpec(3, 1), shots=1000)
-        _, (cross, same, _) = cost._sampled(psi, lambda p: p)
+        _, (cross, same, _) = cost._report(cost._sampled(psi, lambda p: p))
         dense = toeplitz_to_dense(spec)
         assert abs(same.value - psi @ dense @ psi) <= 1e-10
         assert abs(cross.value - cost.b @ dense @ psi) <= 1e-10
@@ -313,6 +315,26 @@ ENGINE_FAMILIES = {
 }
 
 
+def _term_report(cost, cross, same) -> tuple[float, list[TermReport]]:
+    """The cost assembled term by term from the term values cross(op) =
+    <b|op|psi> and same(op) = <psi|op|psi>: one report row per term, the
+    overlap <b|A|psi> last, as ``Cost.report`` lays them out."""
+    report, linear, square = [], 0.0, 0.0
+    for term in cost.a_terms.terms:
+        value = cross(term.op)
+        linear += term.coefficient * value
+        report.append(TermReport(_label(term.op), value, term.coefficient * value))
+    for term in cost.g_terms.terms:
+        identity = isinstance(term.op, deco.TensorWord) and term.op.is_identity
+        value = 1.0 if identity else same(term.op)
+        # a conjugate pair W + W^T: <psi|W^T|psi> = <psi|W|psi>
+        contribution = (2 if term.conjugate_pair else 1) * term.coefficient * value
+        square += contribution
+        report.append(TermReport(_label(term.op), value, contribution))
+    report.append(TermReport("<b|A|psi>", linear, -linear**2))
+    return square - linear**2, report
+
+
 def _gate_bracket(op, n, left, right, shots=None, seeds=None) -> float:
     """The real <left|op|right> from Hadamard tests on the paper's circuits.
     With ``shots`` only the real-part test runs, sampling with the next seed
@@ -366,7 +388,8 @@ def test_exact_cost_matches_circuit_engine(family):
         params = rng.uniform(0, 2 * np.pi, ansatz.param_count)
         energy, report = cost.report(params)
         psi = ansatz_state(ansatz, params)
-        circuit_report = cost._energy(
+        circuit_report = _term_report(
+            cost,
             lambda op: _gate_bracket(op, n, b, psi),
             lambda op: (
                 projector_expectation(op, psi)
@@ -374,7 +397,8 @@ def test_exact_cost_matches_circuit_engine(family):
                 else _gate_bracket(op, n, psi, psi)
             ),
         )
-        for ref_energy, ref_report in (circuit_report, shot._sampled(psi, lambda p: p)):
+        drawn_report = shot._report(shot._sampled(psi, lambda p: p))
+        for ref_energy, ref_report in (circuit_report, drawn_report):
             assert abs(energy - ref_energy) <= 1e-10
             assert [row.label for row in report] == [row.label for row in ref_report]
             for row, ref in zip(report, ref_report):
@@ -424,7 +448,7 @@ def test_shot_mode_at_twelve_qubits():
     assert np.isfinite(make_linear_system_cost(problem, ansatz, shots=100, seed=3)(params))
     exact = make_linear_system_cost(problem, ansatz)(params)
     shot = make_linear_system_cost(problem, ansatz, shots=100)
-    drawn, _ = shot._sampled(ansatz_state(ansatz, params), lambda p: p)
+    drawn = shot._energy(shot._sampled(ansatz_state(ansatz, params), lambda p: p))
     assert abs(drawn - exact) <= 1e-10
 
 
@@ -447,6 +471,22 @@ def test_dropped_cost_keeps_no_words():
     assert left < 2**20
 
 
+def _sparse_energy(problem: PoissonProblem, psi: np.ndarray) -> float:
+    """The sparse oracle ||A psi||^2 - <b|A psi>^2, with A the Kronecker sum
+    of the 1-D tridiagonal operator over the axes."""
+    n, dimension = problem.n, problem.dimension
+    one_d = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+    a = sum(
+        scipy.sparse.kron(
+            scipy.sparse.kron(scipy.sparse.identity(n**site), one_d),
+            scipy.sparse.identity(n ** (dimension - 1 - site)),
+        )
+        for site in range(dimension)
+    )
+    a_psi = a @ psi
+    return float(a_psi @ a_psi - (prepare_b(problem) @ a_psi) ** 2)
+
+
 @pytest.mark.parametrize("dimension, qubits_per_axis", [(2, 6), (3, 4)])
 def test_tensor_word_cost_at_twelve_qubits(dimension, qubits_per_axis):
     # the largest d-D problems the CLI admits; a dense 4096 x 4096 word
@@ -461,22 +501,22 @@ def test_tensor_word_cost_at_twelve_qubits(dimension, qubits_per_axis):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
-    # sparse oracle: A as the Kronecker sum of the 1-D tridiagonal operator
-    n = problem.n
-    one_d = scipy.sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
-    a = sum(
-        scipy.sparse.kron(
-            scipy.sparse.kron(scipy.sparse.identity(n**site), one_d),
-            scipy.sparse.identity(n ** (dimension - 1 - site)),
-        )
-        for site in range(dimension)
-    )
-    psi, b = ansatz_state(ansatz, params), prepare_b(problem)
-    a_psi = a @ psi
-    assert abs(exact - (np.vdot(a_psi, a_psi).real - abs(np.vdot(b, a_psi)) ** 2)) <= 1e-10
+    psi = ansatz_state(ansatz, params)
+    assert abs(exact - _sparse_energy(problem, psi)) <= 1e-10
     shot = make_linear_system_cost(problem, ansatz, shots=100)
-    drawn, _ = shot._sampled(psi, lambda p: p)
+    drawn = shot._energy(shot._sampled(psi, lambda p: p))
     assert abs(drawn - exact) <= 1e-10
+
+
+def test_word_cost_at_sixteen_qubits():
+    # past the dense cap: 2-D with 8 qubits per axis, where each gather block
+    # holds one word, against the sparse oracle
+    problem = PoissonProblem(2, 8)
+    ansatz = AnsatzSpec(problem.total_qubits, 1)
+    params = np.random.default_rng(80).uniform(0, 2 * np.pi, ansatz.param_count)
+    cost = make_linear_system_cost(problem, ansatz)
+    assert all(perm.shape[0] == 1 for perm, _ in cost._gathers)
+    assert abs(cost(params) - _sparse_energy(problem, ansatz_state(ansatz, params))) <= 1e-10
 
 
 UNIFIED = BoundaryCondition.unified(1.0, 2.0, 3.0, 1.0)
@@ -485,10 +525,10 @@ UNIFIED = BoundaryCondition.unified(1.0, 2.0, 3.0, 1.0)
 @pytest.mark.parametrize(
     "problems, expected",
     [
-        ([PoissonProblem(1, q) for q in (3, 4, 5, 6)], 7),
-        ([PoissonProblem(1, q, UNIFIED) for q in (3, 4, 5, 6)], 13),
-        ([PoissonProblem(2, q) for q in (2, 3)], 57),
-        ([PoissonProblem(3, q) for q in (1, 2)], 121),
+        ([PoissonProblem(1, q) for q in (3, 4, 5, 6, 12)], 7),
+        ([PoissonProblem(1, q, UNIFIED) for q in (3, 4, 5, 6, 12)], 13),
+        ([PoissonProblem(2, q) for q in (2, 3, 6)], 57),
+        ([PoissonProblem(3, q) for q in (1, 2, 4)], 121),
     ],
     ids=["dirichlet-1d", "unified-1d", "dirichlet-2d", "dirichlet-3d"],
 )
@@ -500,15 +540,31 @@ def test_shot_estimations_independent_of_n(problems, expected):
     for problem in problems:
         ansatz = AnsatzSpec(problem.total_qubits, 1)
         cost = make_linear_system_cost(problem, ansatz, shots=100)
-        draws = []
+        drawn = []
 
         def draw(p):
-            draws.append(p)
+            drawn.append(p.size)
             return p
 
         cost._sampled(ansatz_state(ansatz, np.full(ansatz.param_count, 0.3)), draw)
-        counts.append(len(draws))
+        assert drawn == [cost.estimations]
+        counts.append(cost.estimations)
     assert counts == [expected] * len(problems)
+
+
+def test_seeded_shot_costs_are_pinned():
+    # the draw order and the seed + 7919*k policy: a fresh unified 1-D cost
+    # at seed 11 and 1000 shots gives these first three evaluations
+    problem = PoissonProblem(1, 3, UNIFIED)
+    cost = make_linear_system_cost(problem, AnsatzSpec(3, 2), shots=1000, seed=11)
+    points = [
+        np.full(6, 0.3),
+        np.linspace(0.0, 2 * np.pi, 6),
+        np.array([1.0, -2.0, 0.5, 3.0, -0.7, 2.2]),
+    ]
+    recorded = [2.3654255172150176, 4.557940068568081, 8.285703715708744]
+    for point, value in zip(points, recorded):
+        assert abs(cost(point) - value) <= 1e-12
 
 
 def test_shot_distribution_matches_gate_level_sampling():
@@ -532,7 +588,10 @@ def test_shot_distribution_matches_gate_level_sampling():
                 total += (op.coeffs.get(power, 0.0) + op.coeffs.get(-power, 0.0)) * x
             return total
 
-        return cost._energy(lambda op: _gate_bracket(op, n, cost.b, psi, shots, seeds), same)[0]
+        def cross(op):
+            return _gate_bracket(op, n, cost.b, psi, shots, seeds)
+
+        return _term_report(cost, cross, same)[0]
 
     engine = np.array([cost(params) for _ in range(trials)])
     # step 4: a projector circuit pair samples with seed and seed + 1
