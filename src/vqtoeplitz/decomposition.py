@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .linalg import check_dense, integer, power_of_two
 from .toeplitz import (NotBanded, ToeplitzSpec, band_autocorrelation, band_sparse,
@@ -331,6 +330,8 @@ def decompose_banded_gram(spec: ToeplitzSpec) -> TermList:
 
 
 def _op_sparse(op: Operator, n: int, dimension: int) -> scipy.sparse.csr_matrix:
+    import scipy.sparse  # here, so that importing the package does not load it
+
     if isinstance(op, ToeplitzSpec):
         return band_sparse(op)
     if isinstance(op, ProjectorPair):
@@ -347,6 +348,8 @@ def _op_sparse(op: Operator, n: int, dimension: int) -> scipy.sparse.csr_matrix:
 
 def reconstruct_sparse(term_list: TermList) -> scipy.sparse.csr_matrix:
     """Coefficient-weighted sparse sum of all terms (the verification route)."""
+    import scipy.sparse  # here, so that importing the package does not load it
+
     dim = term_list.total_dim
     acc = scipy.sparse.csr_matrix((dim, dim))
     for term in term_list.terms:

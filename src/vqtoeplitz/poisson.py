@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-import scipy.sparse
 
 from .linalg import ZeroVector, check_dense, integer, normalize, real, real_array
 
@@ -121,6 +120,8 @@ def boundary_coefficients(bc: BoundaryCondition, n: int) -> tuple[float, float]:
 def poisson_sparse(problem: PoissonProblem) -> scipy.sparse.csr_matrix:
     """CSR operator of any supported problem: the tridiagonal [-1, 2, -1]
     band with boundary-adjusted corners, as a Kronecker sum over d axes."""
+    import scipy.sparse  # here, so that importing the package does not load it
+
     n = problem.n
     diagonal = np.full(n, 2.0)
     if problem.boundary.kind == "unified":

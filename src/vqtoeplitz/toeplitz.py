@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse
 
 from .linalg import DimensionMismatch, check_dense, integer, power_of_two, real
 
@@ -66,6 +65,8 @@ class ToeplitzSpec:
 def band_sparse(spec: ToeplitzSpec) -> scipy.sparse.csr_matrix:
     """The band as an n x n CSR matrix, the one construction every view of
     it reads.  Offset l > 0 is the l-th subdiagonal, scipy's diagonal -l."""
+    import scipy.sparse  # here, so that importing the package does not load it
+
     coeffs = spec.coeffs or {0: 0.0}  # scipy needs at least one diagonal
     return scipy.sparse.diags([np.full(spec.n - abs(l), t) for l, t in coeffs.items()],
                               [-l for l in coeffs], shape=(spec.n, spec.n), format="csr")

@@ -20,12 +20,13 @@ from .circuits import (
     phase_tower_circuit,
     projector_expectation,
     qft_circuit,
+    run_statevector,
 )
 from .linalg import build_unit_circulant, dft_matrix, random_state
 from .poisson import BoundaryCondition, PoissonProblem, poisson_sparse
 from .toeplitz import ToeplitzSpec, phase_spectrum, phase_spectrum_diagonal, toeplitz_to_dense
-from .vqa import (AnsatzSpec, ansatz_state, default_term_lists, dense_hamiltonian,
-                  make_linear_system_cost)
+from .vqa import (AnsatzSpec, ansatz_circuit, ansatz_state, default_term_lists,
+                  dense_hamiltonian, make_linear_system_cost)
 
 
 SAMPLES = 40  # random bands per toeplitz check
@@ -219,6 +220,18 @@ def _check_cost_vs_dense(samples: int, rng) -> CheckResult:
     return CheckResult("vqa/cost-vs-dense-hamiltonian", float(err), 1e-10)
 
 
+def _check_ansatz_kernel(rng) -> CheckResult:
+    """The state every evaluation uses, from ``ansatz_state``'s rotation
+    blocks and gathers, against the gate-level circuit."""
+    err = 0.0
+    for qubits in range(1, 8):
+        ansatz = AnsatzSpec(qubits, depth=2)
+        params = rng.uniform(0, 2 * np.pi, ansatz.param_count)
+        reference = run_statevector(ansatz_circuit(ansatz, params))
+        err = max(err, np.max(np.abs(ansatz_state(ansatz, params) - reference)))
+    return CheckResult("vqa/ansatz-kernel-vs-circuit", float(err), 1e-14)
+
+
 def run_verification(seed: int = 0) -> tuple[list[CheckResult], bool]:
     """Full invariant suite; returns (results, all_passed)."""
     rng = np.random.default_rng(seed)
@@ -237,6 +250,7 @@ def run_verification(seed: int = 0) -> tuple[list[CheckResult], bool]:
             _check_phase_tower_circuits(),
             _check_projector_circuits(10, rng),
             _check_cost_vs_dense(3, rng),
+            _check_ansatz_kernel(rng),
         ]
     )
     return results, all(r.passed for r in results)

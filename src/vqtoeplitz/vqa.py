@@ -17,7 +17,8 @@ with A = T_s^T, T_s = T/||T v0||, and b = v0:
 which vanishes exactly when |psi> matches the normalized image T|v0>.
 
 Both modes prepare the ansatz statevector once per evaluation, with the
-real kernel ``ansatz_state`` (each Ry a two-row update, each layer's CNOT
+real kernel ``ansatz_state`` (each layer's Ry rotations in Kronecker blocks
+of at most 3 qubits, one matrix product per block, and each layer's CNOT
 chain one gather; it equals the gate-level simulation of ``ansatz_circuit``
 within 1e-14), and evaluate the same estimations, the units of the
 gate-level circuits (``circuits``): one Hadamard-test bracket per shift
@@ -118,24 +119,53 @@ def _cnot_chain(qubits: int) -> np.ndarray:
     return gather
 
 
+# Each layer's Ry rotations are applied in Kronecker blocks of at most this
+# many qubits, one matrix product per block.  A block of g qubits costs 2^g
+# multiply-adds per amplitude: smaller blocks mean more calls and passes over
+# the register, larger ones more arithmetic.
+_ROTATION_BLOCK = 3
+
+
+@cache
+def _kron_index(qubits: int) -> tuple[np.ndarray, ...]:
+    """For each block of qubits, from the top qubit down, the (g, 2^g, 2^g)
+    index of kron(Ry_top, ..., Ry_low)'s factors among a layer's 4N Ry
+    entries (entry 4q + 2r + c is row r, column c of qubit q's Ry)."""
+    blocks = []
+    for top in range(qubits - 1, -1, -_ROTATION_BLOCK):
+        block = range(top, max(top - _ROTATION_BLOCK, -1), -1)
+        g = len(block)
+        # bits[k, r] is the k-th bit of r from the top
+        bits = (np.arange(1 << g) >> np.arange(g - 1, -1, -1)[:, None]) & 1
+        index = 4 * np.array(block)[:, None, None] + 2 * bits[:, :, None] + bits[:, None, :]
+        index.flags.writeable = False
+        blocks.append(index)
+    return tuple(blocks)
+
+
 def ansatz_state(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
-    """The ansatz statevector, real (float64): each Ry(theta) on qubit q is a
-    two-row update of ``psi.reshape(-1, 2, 2**q)`` and each layer's CNOT chain
-    one gather.  It equals ``run_statevector(ansatz_circuit(...))`` within
-    1e-14; a state whose norm is not 1 (a NaN parameter) raises NonUnitaryBlock."""
+    """The ansatz statevector, real (float64).  Each layer's rotations are
+    applied in Kronecker blocks of at most ``_ROTATION_BLOCK`` qubits: the
+    block kron(Ry, ..., Ry) on the register's top g qubits is one matrix
+    product with ``psi.reshape(2**g, -1)``, and the transpose of the result
+    moves those qubits to the bottom, so after a layer's last block every
+    qubit is back in place.  Each layer's CNOT chain is one gather.  It
+    equals ``run_statevector(ansatz_circuit(...))`` within 1e-14; a state
+    whose norm is not 1 (a NaN parameter) raises NonUnitaryBlock."""
     params = _checked_params(spec, params)
     qubits = spec.num_qubits
-    half = params.reshape(spec.depth, qubits) / 2
-    cos = np.cos(half)
-    # the rows (a0, a1) -> cos * (a0, a1) + (-sin, sin) * (a1, a0)
-    signed_sin = np.sin(half)[:, :, None, None] * np.array([[-1.0], [1.0]])
+    half = params.reshape(spec.depth, qubits, 1) / 2
+    # Ry(theta) = [[c, -s], [s, c]], row by row, for every layer and qubit
+    entries = (np.cos(half) * [1.0, 0.0, 0.0, 1.0]
+               + np.sin(half) * [0.0, -1.0, 1.0, 0.0]).reshape(spec.depth, -1)
+    blocks = [np.multiply.reduce(entries[:, index], axis=1) for index in _kron_index(qubits)]
     gather = _cnot_chain(qubits)
     psi = np.zeros(1 << qubits)
     psi[0] = 1.0
     for layer in range(spec.depth):
-        for q in range(qubits):
-            rows = psi.reshape(-1, 2, 1 << q)
-            psi = (cos[layer, q] * rows + signed_sin[layer, q] * rows[:, ::-1]).reshape(-1)
+        for block in blocks:
+            matrix = block[layer]
+            psi = (matrix @ psi.reshape(len(matrix), -1)).T.reshape(-1)
         psi = psi[gather]
     norm = float(np.sqrt(np.dot(psi, psi)))
     if not abs(norm - 1.0) < 1e-12:
@@ -498,10 +528,10 @@ def _nelder_mead(func, x0: np.ndarray) -> None:
         sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
     fsim = np.array([func(x.copy()) for x in sim])
     while True:
-        order = np.argsort(fsim)
+        order = fsim.argsort()
         sim, fsim = sim[order], fsim[order]
-        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-12
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-14):
+        if (np.abs(sim[1:] - sim[0]).max() <= 1e-12
+                and np.abs(fsim[0] - fsim[1:]).max() <= 1e-14):
             return
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = 2 * xbar - sim[-1]

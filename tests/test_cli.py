@@ -42,6 +42,7 @@ VERIFY_CHECKS = [
     "circuits/phase-tower-circuits",
     "circuits/projector-pairs",
     "vqa/cost-vs-dense-hamiltonian",
+    "vqa/ansatz-kernel-vs-circuit",
 ]
 
 

@@ -176,14 +176,15 @@ def test_num_qubits():
 
 
 def test_package_import_skips_scipy_linalg_and_optimize():
-    # dense_solve imports scipy.linalg when it runs, and Nelder-Mead is in
-    # the package, so neither module's resident memory comes with the import
+    # dense_solve imports scipy.linalg and the sparse builders scipy.sparse
+    # when they run, and Nelder-Mead is in the package, so none of these
+    # modules' resident memory comes with the import
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = (
         "import sys, vqtoeplitz; "
-        "print(sorted({'scipy.linalg', 'scipy.optimize'} & set(sys.modules)))"
+        "print(sorted({'scipy.linalg', 'scipy.optimize', 'scipy.sparse'} & set(sys.modules)))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120

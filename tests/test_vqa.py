@@ -34,6 +34,8 @@ from vqtoeplitz.vqa import (
     OptimizerConfig,
     TermReport,
     ZeroImage,
+    _ROTATION_BLOCK,
+    _kron_index,
     _label,
     _nelder_mead,
     ansatz_circuit,
@@ -85,6 +87,31 @@ def test_ansatz_amplitudes_are_real():
             state = ansatz_state(spec, params)
             assert state.dtype == np.float64
             np.testing.assert_allclose(state, reference.real, rtol=0, atol=1e-14)
+
+
+def test_ansatz_state_matches_circuit_past_twelve_qubits():
+    # 13-16 qubits leave a last rotation block of 1, 2, 3 and 1 qubits
+    rng = np.random.default_rng(80)
+    for qubits in range(13, 17):
+        for depth in (1, 2):
+            spec = AnsatzSpec(qubits, depth)
+            params = rng.uniform(0, 2 * np.pi, spec.param_count)
+            reference = run_statevector(ansatz_circuit(spec, params))
+            state = ansatz_state(spec, params)
+            np.testing.assert_allclose(state, reference.real, rtol=0, atol=1e-14)
+
+
+def test_kron_index_covers_each_qubit_once():
+    for qubits in range(1, 17):
+        blocks = _kron_index(qubits)
+        covered = []
+        for index in blocks:
+            g = index.shape[0]
+            assert 1 <= g <= _ROTATION_BLOCK and index.shape == (g, 1 << g, 1 << g)
+            block = index // 4  # the qubit of each factor, from the top down
+            assert np.all(block == block[:, :1, :1])
+            covered += list(block[:, 0, 0])
+        assert covered == list(range(qubits - 1, -1, -1))
 
 
 def test_ansatz_length_mismatch():
