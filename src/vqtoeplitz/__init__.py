@@ -70,7 +70,6 @@ from .circuits import (
     circuit_unitary,
     controlled_Ll_circuit,
     hadamard_test,
-    inverse_qft_circuit,
     phase_tower_circuit,
     projector_expectation,
     qft_circuit,

@@ -43,6 +43,7 @@ class UnsupportedPattern(ValueError):
 
 
 _UNITARY_TOL = 1e-12
+MAX_SHOTS = 2**63 - 1  # the largest count numpy draws: a C long
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -169,12 +170,12 @@ class Circuit:
 # simulation
 
 
-def _apply_unitary(state: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
+def _apply_unitary(state: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
     """Apply a 2^k unitary to the listed qubits (first = least significant).
 
     ``state`` may be a vector (2^n,) or a stack of columns (2^n, m).
     """
-    k = len(qubits)
+    k, n = len(qubits), state.shape[0].bit_length() - 1
     cols = 1 if state.ndim == 1 else state.shape[1]
     tensor = state.reshape([2] * n + [cols])
     # axis of qubit q is n-1-q; bring target axes to the front ordered
@@ -201,7 +202,7 @@ def run_statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.n
         state = state.copy()
     expected_norm = 1.0 if initial is None else float(np.linalg.norm(initial))
     for gate in circuit.gates:
-        state = _apply_unitary(state, gate.matrix, gate.qubits, circuit.num_qubits)
+        state = _apply_unitary(state, gate.matrix, gate.qubits)
     norm = float(np.linalg.norm(state))
     if not abs(norm - expected_norm) < 1e-12 * max(1.0, expected_norm):
         raise NonUnitaryBlock(f"simulation changed the state norm from {expected_norm} to {norm}")
@@ -213,14 +214,22 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     dim = 1 << circuit.num_qubits
     mat = np.eye(dim, dtype=complex)
     for gate in circuit.gates:
-        mat = _apply_unitary(mat, gate.matrix, gate.qubits, circuit.num_qubits)
+        mat = _apply_unitary(mat, gate.matrix, gate.qubits)
     return mat
+
+
+def shot_count(shots) -> int:
+    """``shots`` as an int in [1, MAX_SHOTS]: ShotCountZero below, ValueError above."""
+    shots = integer(shots, "shots", 1, ShotCountZero)
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be <= {MAX_SHOTS}, got {shots}")
+    return shots
 
 
 def sample_shots(circuit: Circuit, initial: np.ndarray | None, shots: int, seed: int) -> np.ndarray:
     """Multinomial sample of computational-basis outcomes: the count of each
     basis-state index, an int array of length 2^n; deterministic in seed."""
-    shots = integer(shots, "shots", 1, ShotCountZero)
+    shots = shot_count(shots)
     probs = np.abs(run_statevector(circuit, initial)) ** 2
     return np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
 
@@ -254,10 +263,6 @@ def qft_circuit(num_qubits: int) -> Circuit:
     return circ
 
 
-def inverse_qft_circuit(num_qubits: int) -> Circuit:
-    return qft_circuit(num_qubits).inverse()
-
-
 def phase_tower_circuit(phases: tuple[float, ...]) -> Circuit:
     """One phase gate per qubit (``phase_spectrum``'s angles) realizing a
     power of the unit-root diagonal."""
@@ -287,8 +292,9 @@ def controlled_Ll_circuit(n: int, power: int) -> Circuit:
     return circ
 
 
-def controlled_word_circuit(num_system: int, unitary: np.ndarray) -> Circuit:
+def controlled_word_circuit(unitary: np.ndarray) -> Circuit:
     """Ancilla-controlled arbitrary unitary on the full system register."""
+    num_system = linalg.num_qubits(unitary)
     circ = Circuit(num_system + 1)
     circ.cblock(num_system, tuple(range(num_system)), unitary)
     return circ
@@ -327,13 +333,12 @@ def basis_prep_circuit(num_qubits: int, index: int) -> Circuit:
 
 
 def _prep_unitary(prep: "Circuit | np.ndarray") -> np.ndarray:
-    # ndarrays are accepted as precomputed preparation unitaries so hot
-    # loops do not rebuild them per bracket.
+    # ndarrays are accepted as precomputed preparation unitaries, so a caller
+    # that tests many brackets on the same states builds each unitary once.
     return circuit_unitary(prep) if isinstance(prep, Circuit) else prep
 
 
 def hadamard_test(
-    n_system: int,
     controlled: Circuit,
     state_prep_left: "Circuit | np.ndarray",
     state_prep_right: "Circuit | np.ndarray",
@@ -343,19 +348,17 @@ def hadamard_test(
 ) -> float:
     """Interferometric estimate of Re or Im <left|U|right>.
 
-    ``controlled`` is a circuit on n_system+1 qubits realizing the
-    ancilla-controlled U (ancilla = qubit n_system).  The left and right
+    ``controlled`` is a circuit on n+1 qubits realizing the ancilla-controlled
+    U on the n system qubits (ancilla = qubit n).  The left and right
     preparations are injected as blocks on the control-0 / control-1
     branches, the ancilla is read in the X (or, for the imaginary part,
     Y) basis, and the bias p0 - p1 is the requested component.
     """
     if part not in ("real", "imag"):
         raise ValueError(f"part must be 'real' or 'imag', got {part!r}")
-    if controlled.num_qubits != n_system + 1:
-        raise DimensionMismatch(f"the test needs a controlled circuit on {n_system + 1} qubits")
-    ancilla = n_system
-    system = tuple(range(n_system))
-    circ = Circuit(n_system + 1)
+    ancilla = controlled.num_qubits - 1
+    system = tuple(range(ancilla))
+    circ = Circuit(controlled.num_qubits)
     circ.h(ancilla)
     if part == "imag":
         circ.sdg(ancilla)

@@ -3,7 +3,7 @@
 Every decomposition splits a matrix into summands that quantum circuits
 can estimate directly:
 
-* a banded Toeplitz part, evaluated through its circulant embedding,
+* a banded Toeplitz part, one bracket per shift power on the padded register,
 * rank-structured projector pairs (corner/edge corrections), evaluated by
   a handful of basis-change circuits and computational-basis probabilities,
 * tensor words over per-axis letters {I, L, L^-1, X~, Z~, products}, for
@@ -27,7 +27,7 @@ off for free.  Both tallies are asserted in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,8 +87,7 @@ class TermList:
     terms: tuple[DecompositionTerm, ...]
     n: int  # per-axis size
     dimension: int
-    target: str
-    bra_equals_ket: bool = True
+    bra_equals_ket: bool = field(default=True, kw_only=True)
 
     @property
     def total_dim(self) -> int:
@@ -151,7 +150,7 @@ def dense_letter(name: str, n: int) -> np.ndarray:
 
 def word_to_dense(word: TensorWord, n: int) -> np.ndarray:
     """Dense realization of a word, through the capped ``reconstruct_dense``."""
-    terms = TermList((DecompositionTerm(1.0, word),), n, len(word.letters), "word")
+    terms = TermList((DecompositionTerm(1.0, word),), n, len(word.letters))
     return reconstruct_dense(terms)
 
 
@@ -184,7 +183,7 @@ def decompose_dirichlet_1d(n: int) -> tuple[TermList, TermList]:
     power_of_two(n, "n", 4)
     a_terms = TermList(
         (DecompositionTerm(1.0, _dirichlet_band(n)),),
-        n=n, dimension=1, target="poisson-1d-dirichlet", bra_equals_ket=False,
+        n=n, dimension=1, bra_equals_ket=False,
     )
     m1 = ProjectorPair(((0, 0), (n - 1, n - 1)))
     a2_terms = TermList(
@@ -192,7 +191,7 @@ def decompose_dirichlet_1d(n: int) -> tuple[TermList, TermList]:
             DecompositionTerm(1.0, _squared_band(n)),
             DecompositionTerm(-1.0, m1),
         ),
-        n=n, dimension=1, target="poisson-1d-dirichlet-squared",
+        n=n, dimension=1,
     )
     return a_terms, a2_terms
 
@@ -205,8 +204,8 @@ def decompose_unified_1d(n: int, c: float, d: float) -> tuple[TermList, TermList
     edge pairs |0><1|+|1><0| and |n-1><n-2|+|n-2><n-1| weighted c and d.
     """
     power_of_two(n, "n", 4)
-    if not (0 <= c < 1 and 0 <= d < 1):
-        raise ValueError("corner coefficients must lie in [0, 1)")
+    if not (0 <= c <= 1 and 0 <= d <= 1):
+        raise ValueError("corner coefficients must lie in [0, 1]")
 
     def term(coeff, op):
         return (DecompositionTerm(coeff, op),) if coeff != 0 else ()
@@ -215,7 +214,7 @@ def decompose_unified_1d(n: int, c: float, d: float) -> tuple[TermList, TermList
     m3 = ProjectorPair(((n - 1, n - 1),))
     a_terms = TermList(
         (DecompositionTerm(1.0, _dirichlet_band(n)),) + term(-c, m2) + term(-d, m3),
-        n=n, dimension=1, target="poisson-1d-unified", bra_equals_ket=False,
+        n=n, dimension=1, bra_equals_ket=False,
     )
     m4 = ProjectorPair(((0, 1),), symmetrize=True)
     m5 = ProjectorPair(((n - 1, n - 2),), symmetrize=True)
@@ -225,7 +224,7 @@ def decompose_unified_1d(n: int, c: float, d: float) -> tuple[TermList, TermList
         + term(-(4 * d + 1 - d * d), m3)
         + term(c, m4)
         + term(d, m5),
-        n=n, dimension=1, target="poisson-1d-unified-squared",
+        n=n, dimension=1,
     )
     return a_terms, a2_terms
 
@@ -267,10 +266,7 @@ def decompose_dirichlet_dd(dimension: int, n: int) -> TermList:
     for site in range(dimension):
         for weight, letter in _SITE_LETTERS:
             terms.append(DecompositionTerm(weight, _word(dimension, {site: letter})))
-    return TermList(
-        tuple(terms), n=n, dimension=dimension,
-        target=f"poisson-{dimension}d-dirichlet", bra_equals_ket=False,
-    )
+    return TermList(tuple(terms), n=n, dimension=dimension, bra_equals_ket=False)
 
 
 def decompose_dirichlet_dd_squared(dimension: int, n: int) -> TermList:
@@ -305,10 +301,7 @@ def decompose_dirichlet_dd_squared(dimension: int, n: int) -> TermList:
             )
         for w, letter in _SAME_SITE_SINGLE:
             terms.append(DecompositionTerm(w, _word(dimension, {site: letter})))
-    return TermList(
-        tuple(terms), n=n, dimension=dimension,
-        target=f"poisson-{dimension}d-dirichlet-squared",
-    )
+    return TermList(tuple(terms), n=n, dimension=dimension)
 
 
 def decompose_banded_gram(spec: ToeplitzSpec) -> TermList:
@@ -320,9 +313,7 @@ def decompose_banded_gram(spec: ToeplitzSpec) -> TermList:
     for (i, j), value in sorted(corner_corrections(spec).items()):
         if i <= j:
             terms.append(DecompositionTerm(-value, ProjectorPair(((i, j),), symmetrize=i < j)))
-    return TermList(
-        tuple(terms), n=spec.n, dimension=1, target="banded-gram",
-    )
+    return TermList(tuple(terms), n=spec.n, dimension=1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ d one-dimensional copies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -112,9 +113,16 @@ def boundary_coefficients(bc: BoundaryCondition, n: int) -> tuple[float, float]:
     if bc.kind != "unified":
         raise WrongKind("boundary_coefficients requires the unified kind")
     h = 1.0 / (n + 1)
-    c = bc.alpha1 / (bc.alpha1 + bc.alpha2 * h)
-    d = bc.beta1 / (bc.beta1 + bc.beta2 * h)
-    return c, d
+    return _corner(bc.alpha1, bc.alpha2, h), _corner(bc.beta1, bc.beta2, h)
+
+
+def _corner(p1: float, p2: float, h: float) -> float:
+    """p1 / (p1 + p2*h) for positive finite p1, p2 and h <= 1.  Near the top
+    of the float range both are first scaled down by the power of two that
+    keeps the sum finite; that is exact, so no other input changes a bit."""
+    shift = max(0, max(math.frexp(p1)[1], math.frexp(p2)[1]) - 1022)
+    p1, p2 = math.ldexp(p1, -shift), math.ldexp(p2, -shift)
+    return p1 / (p1 + p2 * h)
 
 
 def poisson_sparse(problem: PoissonProblem) -> scipy.sparse.csr_matrix:

@@ -30,6 +30,11 @@ from .vqa import (AnsatzSpec, ansatz_circuit, ansatz_state, default_term_lists,
 
 
 SAMPLES = 40  # random bands per toeplitz check
+MAX_BAND = 3  # widest random band
+QFT_QUBITS = 5  # QFT circuits on 1..QFT_QUBITS qubits
+PROJECTOR_SAMPLES = 10  # random states per projector-pair circuit check
+COST_SAMPLES = 3  # random parameter points per cost-vs-dense problem
+GATE_TOL = 1e-12  # the pre-solve gate's tolerance on a term-list reconstruction
 
 
 @dataclass
@@ -48,8 +53,8 @@ class CheckResult:
         return out
 
 
-def _random_banded_spec(n: int, rng: np.random.Generator, max_band: int = 3) -> ToeplitzSpec:
-    band = int(rng.integers(0, max_band + 1))
+def _random_banded_spec(n: int, rng: np.random.Generator) -> ToeplitzSpec:
+    band = int(rng.integers(0, MAX_BAND + 1))
     coeffs = {}
     for l in range(-band, band + 1):
         value = rng.standard_normal()
@@ -131,27 +136,20 @@ def _decomposition_checks(rng) -> list[CheckResult]:
         terms = deco.decompose_dirichlet_dd(dim, n), deco.decompose_dirichlet_dd_squared(dim, n)
         cases["dirichlet-dd"].append((PoissonProblem(dim, q), terms))
     results = [
-        CheckResult(f"decompose/{name}", max(verify_problem_terms(*case) for case in family), 1e-12)
+        CheckResult(f"decompose/{name}", max(verify_problem_terms(*case) for case in family),
+                    GATE_TOL)
         for name, family in cases.items()
     ]
-
-    count_err = 0
-    for n in (8,):
-        a_terms, a2_terms = deco.decompose_unified_1d(n, 0.3, 0.6)
-        count_err += abs(deco.count_terms(a_terms) - 5)
-        count_err += abs(deco.count_terms(a2_terms) - 6)
-    for dim in (1, 2, 3):
-        count_err += abs(deco.count_terms(deco.decompose_dirichlet_dd(dim, 4)) - (4 * dim + 1))
-        count_err += abs(
-            deco.count_terms(deco.decompose_dirichlet_dd_squared(dim, 4)) - 12 * dim * dim
-        )
+    # the paper's counts, in the table's order: 5 and 6 in 1-D, 4d + 1 and 12d^2 in d-D
+    paper = [5, 6] + [k for dim in (1, 2, 3) for k in (4 * dim + 1, 12 * dim * dim)]
+    count_err = sum(abs(a - b) for a, b in zip(term_count_table().values(), paper, strict=True))
     results.append(CheckResult("decompose/bracket-counts", float(count_err), 0.0))
     return results
 
 
-def _check_qft(max_qubits: int = 5) -> CheckResult:
+def _check_qft() -> CheckResult:
     err = 0.0
-    for q in range(1, max_qubits + 1):
+    for q in range(1, QFT_QUBITS + 1):
         err = max(err, np.max(np.abs(circuit_unitary(qft_circuit(q)) - dft_matrix(1 << q))))
     return CheckResult("circuits/qft-vs-dft", float(err), 1e-12)
 
@@ -180,7 +178,7 @@ def _check_phase_tower_circuits() -> CheckResult:
     return CheckResult("circuits/phase-tower-circuits", float(err), 1e-12)
 
 
-def _check_projector_circuits(samples: int, rng) -> CheckResult:
+def _check_projector_circuits(rng) -> CheckResult:
     err = 0.0
     n = 8
     descriptors = [
@@ -189,18 +187,18 @@ def _check_projector_circuits(samples: int, rng) -> CheckResult:
         deco.ProjectorPair(((0, 1),), symmetrize=True),
         deco.ProjectorPair(((n - 1, n - 2),), symmetrize=True),
     ]
-    for _ in range(samples):
+    for _ in range(PROJECTOR_SAMPLES):
         psi = random_state(3, rng)
         for descriptor in descriptors:
             dense = deco.reconstruct_dense(
-                deco.TermList((deco.DecompositionTerm(1.0, descriptor),), n, 1, "check")
+                deco.TermList((deco.DecompositionTerm(1.0, descriptor),), n, 1)
             )
             expected = float(np.real(psi.conj() @ dense @ psi))
             err = max(err, abs(projector_expectation(descriptor, psi) - expected))
     return CheckResult("circuits/projector-pairs", float(err), 1e-10)
 
 
-def _check_cost_vs_dense(samples: int, rng) -> CheckResult:
+def _check_cost_vs_dense(rng) -> CheckResult:
     err = 0.0
     cases = [
         PoissonProblem(1, 3),
@@ -211,7 +209,7 @@ def _check_cost_vs_dense(samples: int, rng) -> CheckResult:
         ansatz = AnsatzSpec(problem.total_qubits, depth=2)
         h = dense_hamiltonian(problem)
         cost = make_linear_system_cost(problem, ansatz)
-        for _ in range(samples):
+        for _ in range(COST_SAMPLES):
             params = rng.uniform(0, 2 * np.pi, ansatz.param_count)
             energy = cost(params)
             psi = ansatz_state(ansatz, params)
@@ -248,8 +246,8 @@ def run_verification(seed: int = 0) -> tuple[list[CheckResult], bool]:
             _check_qft(),
             _check_controlled_shift(),
             _check_phase_tower_circuits(),
-            _check_projector_circuits(10, rng),
-            _check_cost_vs_dense(3, rng),
+            _check_projector_circuits(rng),
+            _check_cost_vs_dense(rng),
             _check_ansatz_kernel(rng),
         ]
     )

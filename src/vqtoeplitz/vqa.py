@@ -48,9 +48,9 @@ from . import decomposition as deco
 from .circuits import (
     Circuit,
     NonUnitaryBlock,
-    ShotCountZero,
     bell_pair_circuits,
     run_statevector,
+    shot_count,
 )
 from .linalg import DimensionMismatch, dense_solve, fidelity, integer, normalize, num_qubits
 from .poisson import PoissonProblem, boundary_coefficients, build_poisson, prepare_b
@@ -261,7 +261,7 @@ class Cost:
             if not fits:
                 raise DimensionMismatch(f"{op} does not fit the (n, d) = {grids[0]} grid")
         if shots is not None:
-            shots = integer(shots, "shots", 1, ShotCountZero)
+            shots = shot_count(shots)
         self.a_terms, self.g_terms, self.b = a_terms, g_terms, b
         self.ansatz, self.shots, self.seed = ansatz, shots, integer(seed, "seed", 0)
         self._evals = itertools.count()
@@ -405,7 +405,7 @@ def make_linear_system_cost(problem: PoissonProblem, ansatz, shots=None, seed=0)
 def _band_terms(spec: ToeplitzSpec) -> deco.TermList:
     return deco.TermList(
         (deco.DecompositionTerm(1.0, spec),),
-        n=spec.n, dimension=1, target="banded-system", bra_equals_ket=False,
+        n=spec.n, dimension=1, bra_equals_ket=False,
     )
 
 
@@ -416,30 +416,31 @@ def make_toeplitz_system_cost(spec: ToeplitzSpec, b, ansatz, shots=None, seed=0)
     return Cost(_band_terms(spec), gram, normalize(b), ansatz, shots, seed)
 
 
-def _matvec_scale(spec: ToeplitzSpec, v0) -> tuple[np.ndarray, float]:
-    """(normalized v0, ||T v0||)."""
+def _matvec_image(spec: ToeplitzSpec, v0) -> tuple[np.ndarray, np.ndarray, float]:
+    """(normalized v0, T v0, ||T v0||)."""
     v0 = normalize(v0)
-    image_norm = np.linalg.norm(classical_toeplitz_matvec(spec, v0))
+    image = classical_toeplitz_matvec(spec, v0)
+    image_norm = np.linalg.norm(image)
     if image_norm <= 1e-12:
         raise ZeroImage("T annihilates v0; the target state is undefined")
-    return v0, image_norm
+    return v0, image, image_norm
 
 
 def make_matvec_cost(spec: ToeplitzSpec, v0, ansatz, shots=None, seed=0) -> Cost:
     """E(theta) = 1 - <psi|T_s|v0>^2 with T_s = T/||T v0||: the cost with
     A = T_s^T, G = I and b = v0, since <v0|T_s^T|psi> = <psi|T_s|v0>."""
-    v0, image_norm = _matvec_scale(spec, v0)
+    v0, _, image_norm = _matvec_image(spec, v0)
     transpose = ToeplitzSpec(spec.n, {-l: t / image_norm for l, t in spec.coeffs.items()})
     identity = deco.TermList(
-        (deco.DecompositionTerm(1.0, deco.TensorWord(("I",))),), spec.n, 1, "identity"
+        (deco.DecompositionTerm(1.0, deco.TensorWord(("I",))),), spec.n, 1
     )
     return Cost(_band_terms(transpose), identity, v0, ansatz, shots, seed)
 
 
 def matvec_target_state(spec: ToeplitzSpec, v0: np.ndarray) -> np.ndarray:
     """Classical normalized image T|v0>, the state the matvec cost selects."""
-    v0, image_norm = _matvec_scale(spec, v0)
-    return classical_toeplitz_matvec(spec, v0) / image_norm
+    _, image, image_norm = _matvec_image(spec, v0)
+    return image / image_norm
 
 
 def dense_hamiltonian(problem: PoissonProblem) -> np.ndarray:

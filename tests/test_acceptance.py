@@ -136,8 +136,8 @@ def test_criterion_3_estimator_correctness():
         controlled = controlled_Ll_circuit(2 * n, power)
         left, right = state_prep_circuit(chi), state_prep_circuit(psi)
         est = complex(
-            hadamard_test(4, controlled, left, right, "real"),
-            hadamard_test(4, controlled, left, right, "imag"),
+            hadamard_test(controlled, left, right, "real"),
+            hadamard_test(controlled, left, right, "imag"),
         )
         exact = chi.conj() @ np.linalg.matrix_power(shift, power) @ psi
         worst = max(worst, abs(est - exact))
@@ -149,8 +149,8 @@ def test_criterion_3_estimator_correctness():
         for power in (1, 2):
             controlled = controlled_Ll_circuit(2 * n, power)
             est = complex(
-                hadamard_test(4, controlled, prep, prep, "real"),
-                hadamard_test(4, controlled, prep, prep, "imag"),
+                hadamard_test(controlled, prep, prep, "real"),
+                hadamard_test(controlled, prep, prep, "imag"),
             )
             exact = emb.conj() @ np.linalg.matrix_power(shift, power) @ emb
             worst = max(worst, abs(est - exact))
@@ -168,7 +168,7 @@ def test_criterion_3_estimator_correctness():
         psi = random_state(3, rng)
         for descriptor in descriptors:
             dense = deco.reconstruct_dense(
-                deco.TermList((deco.DecompositionTerm(1.0, descriptor),), n, 1, "m")
+                deco.TermList((deco.DecompositionTerm(1.0, descriptor),), n, 1)
             )
             exact = float(np.real(psi.conj() @ dense @ psi))
             worst = max(worst, abs(projector_expectation(descriptor, psi) - exact))
@@ -185,11 +185,11 @@ def test_criterion_3_estimator_correctness():
         chi = random_state(4, rng)
         term = word_terms[k % len(word_terms)]
         dense = deco.word_to_dense(term.op, 4)
-        controlled = controlled_word_circuit(4, dense)
+        controlled = controlled_word_circuit(dense)
         left, right = state_prep_circuit(chi), state_prep_circuit(psi)
         est = complex(
-            hadamard_test(4, controlled, left, right, "real"),
-            hadamard_test(4, controlled, left, right, "imag"),
+            hadamard_test(controlled, left, right, "real"),
+            hadamard_test(controlled, left, right, "imag"),
         )
         worst = max(worst, abs(est - chi.conj() @ dense @ psi))
 
@@ -275,15 +275,15 @@ def test_criterion_7_shot_statistics():
     bad = 0
     trials = 0
     for part in ("real", "imag"):
-        exact = hadamard_test(4, controlled, prep, prep, part)
+        exact = hadamard_test(controlled, prep, prep, part)
         for k in range(500):
-            est = hadamard_test(4, controlled, prep, prep, part, shots=shots, seed=k)
+            est = hadamard_test(controlled, prep, prep, part, shots=shots, seed=k)
             bad += abs(est - exact) > bound
             trials += 1
 
     descriptor = deco.ProjectorPair(((0, 1),), symmetrize=True)
     dense = deco.reconstruct_dense(
-        deco.TermList((deco.DecompositionTerm(1.0, descriptor),), n, 1, "m4")
+        deco.TermList((deco.DecompositionTerm(1.0, descriptor),), n, 1)
     )
     exact = float(np.real(psi.conj() @ dense @ psi))
     for k in range(1000):

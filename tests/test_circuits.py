@@ -15,7 +15,6 @@ from vqtoeplitz.circuits import (
     controlled_Ll_circuit,
     controlled_word_circuit,
     hadamard_test,
-    inverse_qft_circuit,
     phase_tower_circuit,
     projector_expectation,
     qft_circuit,
@@ -102,7 +101,7 @@ def test_generated_circuits_are_unitary():
     rng = np.random.default_rng(9)
     circuits = [
         qft_circuit(4),
-        inverse_qft_circuit(3),
+        qft_circuit(3).inverse(),
         controlled_Ll_circuit(8, 3),
         phase_tower_circuit(phase_spectrum(8, 5)),
         state_prep_circuit(random_state(3, rng)),
@@ -128,7 +127,7 @@ def test_qft_matches_dft_matrix(q):
 
 def test_qft_inverse_identity():
     for q in (2, 3):
-        total = Circuit(q).extend(qft_circuit(q)).extend(inverse_qft_circuit(q))
+        total = Circuit(q).extend(qft_circuit(q)).extend(qft_circuit(q).inverse())
         np.testing.assert_allclose(circuit_unitary(total), np.eye(1 << q), atol=1e-12)
 
 
@@ -193,13 +192,13 @@ def test_controlled_shift_block_structure(power):
 
 def test_hadamard_test_identity_same_state():
     prep = uniform_prep_circuit(2)
-    assert hadamard_test(2, Circuit(3), prep, prep, "real") == pytest.approx(1.0, abs=1e-12)
+    assert hadamard_test(Circuit(3), prep, prep, "real") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hadamard_test_shift_invariant_state():
     # the uniform state is an eigenvector of the cyclic shift with eigenvalue 1
     prep = uniform_prep_circuit(4)
-    est = hadamard_test(4, controlled_Ll_circuit(16, 1), prep, prep, "real")
+    est = hadamard_test(controlled_Ll_circuit(16, 1), prep, prep, "real")
     assert est == pytest.approx(1.0, abs=1e-12)
 
 
@@ -214,8 +213,8 @@ def test_hadamard_test_against_dense_brackets():
         left = state_prep_circuit(chi)
         right = state_prep_circuit(psi)
         expected = chi.conj() @ np.linalg.matrix_power(shift, power) @ psi
-        re = hadamard_test(4, controlled, left, right, "real")
-        im = hadamard_test(4, controlled, left, right, "imag")
+        re = hadamard_test(controlled, left, right, "real")
+        im = hadamard_test(controlled, left, right, "imag")
         assert abs(complex(re, im) - expected) <= 1e-10
 
 
@@ -225,19 +224,19 @@ def test_hadamard_test_random_word_unitaries():
         psi = random_state(2, rng)
         chi = random_state(2, rng)
         u = circuit_unitary(state_prep_circuit(random_state(2, rng)))
-        controlled = controlled_word_circuit(2, u)
+        controlled = controlled_word_circuit(u)
         left, right = state_prep_circuit(chi), state_prep_circuit(psi)
-        re = hadamard_test(2, controlled, left, right, "real")
-        im = hadamard_test(2, controlled, left, right, "imag")
+        re = hadamard_test(controlled, left, right, "real")
+        im = hadamard_test(controlled, left, right, "imag")
         assert abs(complex(re, im) - chi.conj() @ u @ psi) <= 1e-10
 
 
 def test_hadamard_test_shot_mode_errors():
     prep = uniform_prep_circuit(2)
     with pytest.raises(ShotCountZero):
-        hadamard_test(2, Circuit(3), prep, prep, "real", shots=0)
+        hadamard_test(Circuit(3), prep, prep, "real", shots=0)
     with pytest.raises(ValueError):
-        hadamard_test(2, Circuit(3), prep, prep, "modulus")
+        hadamard_test(Circuit(3), prep, prep, "modulus")
 
 
 def test_hadamard_test_shot_statistics():
@@ -245,10 +244,10 @@ def test_hadamard_test_shot_statistics():
     psi = random_state(3, rng)
     prep = state_prep_circuit(np.concatenate([psi, np.zeros(8)]))
     controlled = controlled_Ll_circuit(16, 1)
-    exact = hadamard_test(4, controlled, prep, prep, "real")
+    exact = hadamard_test(controlled, prep, prep, "real")
     shots = 10**5
     bad = sum(
-        abs(hadamard_test(4, controlled, prep, prep, "real", shots=shots, seed=k) - exact)
+        abs(hadamard_test(controlled, prep, prep, "real", shots=shots, seed=k) - exact)
         > 3 / np.sqrt(shots)
         for k in range(100)
     )
@@ -261,7 +260,7 @@ def test_hadamard_test_shot_statistics():
 
 def _pair_dense(descriptor, n):
     return reconstruct_dense(
-        TermList((DecompositionTerm(1.0, descriptor),), n=n, dimension=1, target="pair")
+        TermList((DecompositionTerm(1.0, descriptor),), n=n, dimension=1)
     )
 
 

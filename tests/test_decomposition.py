@@ -225,7 +225,7 @@ def test_letters_and_words_match_dense_oracle(n):
         np.testing.assert_array_equal(dense[np.arange(n ** len(word)), perm], sign)
         assert np.count_nonzero(dense) == n ** len(word)
         np.testing.assert_array_equal(word_to_dense(TensorWord(word), n), dense)
-        terms = TermList((DecompositionTerm(1.0, TensorWord(word)),), n, len(word), "word")
+        terms = TermList((DecompositionTerm(1.0, TensorWord(word)),), n, len(word))
         np.testing.assert_array_equal(reconstruct_dense(terms), dense)
         if len(word) == 1:
             np.testing.assert_array_equal(dense_letter(word[0], n), dense)
@@ -236,7 +236,7 @@ def test_letters_and_words_match_dense_oracle(n):
 
 
 def test_reconstruct_identity_term():
-    terms = TermList((DecompositionTerm(1.0, TensorWord(("I",))),), n=4, dimension=1, target="id")
+    terms = TermList((DecompositionTerm(1.0, TensorWord(("I",))),), n=4, dimension=1)
     np.testing.assert_array_equal(reconstruct_dense(terms), np.eye(4))
 
 
@@ -317,5 +317,5 @@ def test_gate_exact_on_own_term_lists(problem):
 def test_gate_detects_a_wrong_coefficient():
     a_terms, a2_terms = default_term_lists(PoissonProblem(1, 3))
     bad = DecompositionTerm(a2_terms.terms[0].coefficient * 1.001, a2_terms.terms[0].op)
-    a2_bad = TermList((bad,) + a2_terms.terms[1:], a2_terms.n, a2_terms.dimension, "bad")
+    a2_bad = TermList((bad,) + a2_terms.terms[1:], a2_terms.n, a2_terms.dimension)
     assert verify_problem_terms(PoissonProblem(1, 3), (a_terms, a2_bad)) > 1e-3

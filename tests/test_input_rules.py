@@ -24,14 +24,14 @@ def _cost(**kwargs):
 
 def _cost_on(op, b=None):
     """A 1-D n = 8 cost whose A list holds ``op`` alone."""
-    a_terms = deco.TermList((deco.DecompositionTerm(1.0, op),), 8, 1, "a")
+    a_terms = deco.TermList((deco.DecompositionTerm(1.0, op),), 8, 1)
     b = prepare_b(PoissonProblem(1, 3)) if b is None else b
     return vqa.Cost(a_terms, deco.decompose_dirichlet_1d(8)[1], b, vqa.AnsatzSpec(3, 1))
 
 
 def _hadamard_test(shots):
     prep = circuits.uniform_prep_circuit(2)
-    return circuits.hadamard_test(2, circuits.controlled_Ll_circuit(4, 1), prep, prep, shots=shots)
+    return circuits.hadamard_test(circuits.controlled_Ll_circuit(4, 1), prep, prep, shots=shots)
 
 
 @pytest.mark.parametrize(
@@ -41,6 +41,8 @@ def _hadamard_test(shots):
         (lambda: _cost(shots=True), TypeError),
         (lambda: _cost(seed=-1), ValueError),
         (lambda: circuits.sample_shots(Circuit(1), None, 2.5, 0), TypeError),
+        (lambda: _cost(shots=2**63), ValueError),
+        (lambda: circuits.sample_shots(Circuit(1), None, 2**63, 0), ValueError),
         (lambda: _hadamard_test(2.5), TypeError),
         (lambda: vqa.AnsatzSpec(2.5, 1), TypeError),
         (lambda: vqa.AnsatzSpec(3, True), TypeError),
@@ -60,7 +62,7 @@ def _hadamard_test(shots):
          linalg.DimensionMismatch),
         (lambda: circuits.basis_prep_circuit(3, 9), DimensionMismatch),
         (lambda: linalg.basis_state(3, 1.5), TypeError),
-        (lambda: circuits.hadamard_test(3, circuits.controlled_Ll_circuit(4, 1),
+        (lambda: circuits.hadamard_test(circuits.controlled_Ll_circuit(4, 1),
                                         circuits.uniform_prep_circuit(3),
                                         circuits.uniform_prep_circuit(3)), DimensionMismatch),
         (lambda: linalg.normalize([1.0, np.nan]), ValueError),
@@ -73,9 +75,11 @@ def _hadamard_test(shots):
         (lambda: Circuit(2).x(True), TypeError),
         (lambda: Circuit(2).x(1.0), TypeError),
         (lambda: Circuit(2.5), TypeError),
+        (lambda: deco.TermList((), 8, 1, "label"), TypeError),
     ],
     ids=["cost-shots-fraction", "cost-shots-boolean", "cost-seed-negative",
-         "sample-shots-fraction", "hadamard-shots-fraction", "ansatz-qubits-fraction",
+         "sample-shots-fraction", "cost-shots-past-int64", "sample-shots-past-int64",
+         "hadamard-shots-fraction", "ansatz-qubits-fraction",
          "ansatz-depth-boolean", "optimizer-iters-fraction", "optimizer-restarts-boolean",
          "optimizer-seed-negative", "band-offset-fraction", "band-offset-boolean",
          "band-dense-past-cap", "shift-power-fraction", "power-of-two-six", "power-of-two-below-minimum",
@@ -84,12 +88,18 @@ def _hadamard_test(shots):
          "hadamard-controlled-too-narrow", "normalize-nan", "system-cost-nan-b",
          "cost-b-not-unit", "cost-projector-negative-index", "cost-band-other-size",
          "cost-word-other-dimension", "circuit-qubit-boolean", "circuit-qubit-fraction",
-         "circuit-count-fraction"],
+         "circuit-count-fraction", "termlist-fourth-positional"],
 )
 def test_rule_rejects(build, error):
     with pytest.raises(error) as info:
         build()
     assert type(info.value) is error
+
+
+def test_largest_shot_count_runs():
+    assert np.isfinite(_cost(shots=circuits.MAX_SHOTS)(np.zeros(2)))
+    counts = circuits.sample_shots(Circuit(1), None, circuits.MAX_SHOTS, 0)
+    assert counts.tolist() == [circuits.MAX_SHOTS, 0]
 
 
 @pytest.mark.parametrize("n, log2", [(1, 0), (2, 1), (8, 3), (2**40, 40)])

@@ -33,6 +33,14 @@ def test_boundary_coefficients_neumann_limit():
     assert d == pytest.approx(1.0, abs=1e-12)
 
 
+def test_boundary_coefficients_at_the_top_of_the_float_range():
+    # alpha1 + alpha2*h must not overflow to inf, which gave c = d = 0
+    big, one = (BoundaryCondition.unified(v, v, v, v) for v in (1.7e308, 1.0))
+    np.testing.assert_allclose(
+        boundary_coefficients(big, 8), boundary_coefficients(one, 8), rtol=0, atol=1e-15
+    )
+
+
 def test_boundary_coefficients_wrong_kind():
     with pytest.raises(WrongKind):
         boundary_coefficients(BoundaryCondition.dirichlet(), 4)
@@ -121,6 +129,19 @@ def test_build_poisson_1d_positive_definite_random_corners():
         a[0, 0] -= c
         a[n - 1, n - 1] -= d
         assert np.linalg.eigvalsh(a).min() > 0
+
+
+@pytest.mark.parametrize(
+    "build, problem",
+    [
+        (build_poisson_1d, PoissonProblem(2, 2)),
+        (build_poisson_dd, PoissonProblem(1, 2, BoundaryCondition.unified(1.0, 2.0, 3.0, 1.0))),
+    ],
+    ids=["1d-builder-on-2d", "dd-builder-on-unified"],
+)
+def test_builders_refuse_other_families(build, problem):
+    with pytest.raises(UnsupportedProblem):
+        build(problem)
 
 
 def test_build_poisson_dd_overflow():

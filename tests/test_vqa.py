@@ -250,7 +250,7 @@ def test_bracket_engine_same_state_asymmetric_band():
     rng = np.random.default_rng(19)
     for coeffs in ({1: 2.0}, {-1: 3.0}, {-2: 1.0, 0: 1.5, 1: -0.5}):
         spec = ToeplitzSpec(8, coeffs)
-        band = deco.TermList((deco.DecompositionTerm(1.0, spec),), 8, 1, "band")
+        band = deco.TermList((deco.DecompositionTerm(1.0, spec),), 8, 1)
         psi = normalize(rng.standard_normal(8))
         cost = Cost(band, band, normalize(rng.standard_normal(8)), AnsatzSpec(3, 1), shots=1000)
         _, (cross, same, _) = cost._report(cost._sampled(psi, lambda p: p))
@@ -322,7 +322,7 @@ def test_shot_mode_constant_negative_rhs():
 
 def _gram_term_lists(spec):
     a_terms = deco.TermList(
-        (deco.DecompositionTerm(1.0, spec),), spec.n, 1, "banded-system", bra_equals_ket=False
+        (deco.DecompositionTerm(1.0, spec),), spec.n, 1, bra_equals_ket=False
     )
     return a_terms, deco.decompose_banded_gram(spec)
 
@@ -368,10 +368,10 @@ def _gate_bracket(op, n, left, right, shots=None, seeds=None) -> float:
     from ``seeds``; without, the imaginary-part test checks that it is 0."""
     num_qubits = left.shape[0].bit_length() - 1
 
-    def test(controlled, n_system, left_u, right_u):
+    def test(controlled, left_u, right_u):
         if shots:
-            return hadamard_test(n_system, controlled, left_u, right_u, "real", shots, next(seeds))
-        re, im = (hadamard_test(n_system, controlled, left_u, right_u, part)
+            return hadamard_test(controlled, left_u, right_u, "real", shots, next(seeds))
+        re, im = (hadamard_test(controlled, left_u, right_u, part)
                   for part in ("real", "imag"))
         assert abs(im) <= 1e-10
         return re
@@ -383,8 +383,7 @@ def _gate_bracket(op, n, left, right, shots=None, seeds=None) -> float:
         pad = np.zeros(op.n)
         left_u, right_u = prep(np.concatenate([left, pad])), prep(np.concatenate([right, pad]))
         return sum(  # T is the top-left block of sum_l t_l L^l on 2n points
-            coeff * test(controlled_Ll_circuit(2 * op.n, power % (2 * op.n)),
-                         num_qubits + 1, left_u, right_u)
+            coeff * test(controlled_Ll_circuit(2 * op.n, power % (2 * op.n)), left_u, right_u)
             for power, coeff in op.coeffs.items()
         )
     if isinstance(op, deco.ProjectorPair):
@@ -392,12 +391,11 @@ def _gate_bracket(op, n, left, right, shots=None, seeds=None) -> float:
         identity = Circuit(num_qubits + 1)
         return sum(
             left[i]
-            * test(identity, num_qubits, circuit_unitary(basis_prep_circuit(num_qubits, j)),
-                   prep(right))
+            * test(identity, circuit_unitary(basis_prep_circuit(num_qubits, j)), prep(right))
             for i, j in op.entries
         )
-    controlled = controlled_word_circuit(num_qubits, deco.word_to_dense(op, n))
-    return test(controlled, num_qubits, prep(left), prep(right))
+    controlled = controlled_word_circuit(deco.word_to_dense(op, n))
+    return test(controlled, prep(left), prep(right))
 
 
 @pytest.mark.parametrize("family", list(ENGINE_FAMILIES))
@@ -437,7 +435,7 @@ def test_exact_cost_rejects_unmeasurable_projector():
     # exact mode evaluates only what the shot circuits can measure
     a_terms, _ = deco.decompose_dirichlet_1d(8)
     triple = deco.ProjectorPair(((0, 0), (1, 1), (2, 2)))
-    a2_terms = deco.TermList((deco.DecompositionTerm(1.0, triple),), 8, 1, "triple")
+    a2_terms = deco.TermList((deco.DecompositionTerm(1.0, triple),), 8, 1)
     with pytest.raises(UnsupportedPattern):
         Cost(a_terms, a2_terms, prepare_b(PoissonProblem(1, 3)), AnsatzSpec(3, 1))
 
