@@ -419,6 +419,8 @@ def bell_pair_circuits(descriptor, num_qubits: int) -> list[tuple[Circuit, int]]
     if any(i != j for i, j in descriptor.pairs):
         raise UnsupportedPattern("off-diagonal entries require symmetrize=True")
     indices = [i for i, _ in descriptor.pairs]
+    if len(set(indices)) != len(indices):
+        raise UnsupportedPattern(f"diagonal pattern repeats an index: {indices}")
     if len(indices) == 1:
         return [(basis_prep_circuit(num_qubits, indices[0]), +1)]
     if len(indices) == 2:

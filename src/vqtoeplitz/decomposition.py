@@ -357,32 +357,30 @@ def reconstruct_dense(term_list: TermList) -> np.ndarray:
     return reconstruct_sparse(term_list).toarray()
 
 
-def count_terms(term_list: TermList) -> int:
-    """Number of distinct bracket estimations the list implies.
+def brackets(op: ToeplitzSpec | TensorWord, same: bool) -> tuple[dict, float]:
+    """The brackets a band or a word costs, as ({key: weight}, free constant):
+    its value is sum(weight * bracket(key)) + constant.  A band has one
+    bracket per offset l, key l; against identical states (``same``) opposite
+    offsets share one, <psi|L^-l|psi> = <psi|L^l|psi> for a real state, and
+    the zero offset is free.  A word has one bracket, key its letters; against
+    identical states the all-identity word is the free constant 1."""
+    if isinstance(op, TensorWord):
+        return ({}, 1.0) if same and op.is_identity else ({op.letters: 1.0}, 0.0)
+    c = op.coeffs
+    if not same:
+        return dict(c), 0.0
+    return ({p: c.get(p, 0.0) + c.get(-p, 0.0) for p in sorted({abs(l) for l in c} - {0})},
+            c.get(0, 0.0))
 
-    Banded terms expand into one bracket per occupied offset; when bra and
-    ket coincide, opposite offsets share one bracket (<psi|L^-l|psi> =
-    <psi|L^l|psi> for a real state) and the zero offset multiplies the
-    identity.  Projector pairs and non-identity tensor words cost one
-    estimation each; the all-identity word is free against identical
-    states and one overlap bracket otherwise.
+
+def count_terms(term_list: TermList) -> int:
+    """Number of distinct bracket estimations the list implies: the brackets
+    of each band and word by the rule ``brackets`` states, with the list's
+    ``bra_equals_ket`` as ``same``, plus one per projector pair.
     """
-    total = 0
-    for term in term_list.terms:
-        if isinstance(term.op, ToeplitzSpec):
-            offsets = set(term.op.coeffs)
-            if term_list.bra_equals_ket:
-                total += len({abs(l) for l in offsets if l != 0})
-            else:
-                total += len(offsets)
-        elif isinstance(term.op, ProjectorPair):
-            total += 1
-        elif isinstance(term.op, TensorWord):
-            if term.op.is_identity:
-                total += 0 if term_list.bra_equals_ket else 1
-            else:
-                total += 1
-    return total
+    return sum(1 if isinstance(term.op, ProjectorPair)
+               else len(brackets(term.op, term_list.bra_equals_ket)[0])
+               for term in term_list.terms)
 
 
 # ---------------------------------------------------------------------------

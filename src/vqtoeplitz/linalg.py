@@ -54,8 +54,8 @@ def check_dense(dim: int, what: str) -> None:
 def dense_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a @ x = b`` by LU with partial pivoting.
 
-    Raises SingularMatrix when any pivot magnitude drops below 1e-12 or
-    the residual fails the 1e-10 * ||b||_inf bound.  ``scipy.linalg`` is
+    Raises SingularMatrix when any pivot magnitude drops to 1e-12 * max|a|
+    or below, or the residual fails the 1e-10 * ||b||_inf bound.  ``scipy.linalg`` is
     imported here, its one user, so importing the package does not load it.
     """
     import scipy.linalg
@@ -71,8 +71,11 @@ def dense_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(a)
     pivots = np.abs(np.diag(lu))
-    if pivots.min() < PIVOT_TOL:
-        raise SingularMatrix(f"pivot magnitude {pivots.min():.3e} below {PIVOT_TOL}")
+    # max|a|; a real matrix's is read off its extremes, without a copy of it
+    bound = PIVOT_TOL * (max(a.max(), -a.min()) if np.isrealobj(a) else np.abs(a).max())
+    if pivots.min() <= bound:
+        raise SingularMatrix(f"pivot magnitude {pivots.min():.3e} not above {PIVOT_TOL} * max|a|"
+                             f" = {bound:.3e}")
     x = scipy.linalg.lu_solve((lu, piv), b)
     residual = np.max(np.abs(a @ x - b))
     if residual > 1e-10 * max(np.max(np.abs(b)), 1e-300):

@@ -4,7 +4,8 @@ A banded Toeplitz matrix T with coefficients ``t_l`` on offsets |l| <= K
 is the top-left n x n block of sum_l t_l L^l, with L the cyclic down-shift
 on 2n points: the padding keeps the wrap-around of each shift out of the
 block.  Each L^l is ``circuits.controlled_Ll_circuit``, a tower of
-single-qubit phase gates (``phase_spectrum``) between a QFT pair.
+single-qubit phase gates (``phase_spectrum``) between a QFT pair; its
+block is ``shift_gather``, the one the cost and the classical multiply read.
 """
 
 from __future__ import annotations
@@ -99,17 +100,23 @@ def phase_spectrum_diagonal(phases: tuple[float, ...]) -> np.ndarray:
     return diag
 
 
+def shift_gather(power: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """L^power on the zero-padded register, the top-left n x n block, as a
+    signed gather (L^power v)[i] = sign[i] * v[perm[i]]: perm = i - power
+    clipped to the register and sign = [0 <= i - power < n]."""
+    source = np.arange(n) - power
+    return np.clip(source, 0, n - 1), ((source >= 0) & (source < n)).astype(float)
+
+
 def classical_toeplitz_matvec(spec: ToeplitzSpec, v: np.ndarray) -> np.ndarray:
-    """Direct banded multiply, O(K n)."""
+    """Direct banded multiply, O(K n): sum_l t_l L^l v."""
     v = np.asarray(v)
     if v.shape[0] != spec.n:
         raise DimensionMismatch(f"vector length {v.shape[0]} != n = {spec.n}")
     out = np.zeros(spec.n, dtype=np.result_type(v, float))
     for l, t in spec.coeffs.items():
-        if l >= 0:
-            out[l:] += t * v[: spec.n - l]
-        else:
-            out[: spec.n + l] += t * v[-l:]
+        perm, sign = shift_gather(l, spec.n)
+        out += t * (sign * v[perm])
     return out
 
 

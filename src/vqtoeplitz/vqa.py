@@ -30,15 +30,17 @@ term: one matrix-vector product for the brackets <b|P|psi>, blocked
 signed gathers for the brackets <psi|P|psi>, one matrix-vector product
 for the projector probabilities, and two weighted sums.  Exact mode takes
 each estimation at its exact value.  Shot mode draws all of them with one
-Binomial(shots, p) call over the table's probabilities: the ancilla of the
-Hadamard test of a bracket x reads 0 with probability (1 + x)/2, and a
-projector circuit reads all zeros with probability <prep|psi>^2.
+Binomial(shots, p) call over the table's probabilities, in table order,
+the brackets before the probabilities: the ancilla of the Hadamard test of
+a bracket x reads 0 with probability (1 + x)/2, and a projector circuit
+reads all zeros with probability <prep|psi>^2.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -54,7 +56,7 @@ from .circuits import (
 )
 from .linalg import DimensionMismatch, dense_solve, fidelity, integer, normalize, num_qubits
 from .poisson import PoissonProblem, boundary_coefficients, build_poisson, prepare_b
-from .toeplitz import ToeplitzSpec, classical_toeplitz_matvec
+from .toeplitz import ToeplitzSpec, classical_toeplitz_matvec, shift_gather
 
 
 class LengthMismatch(ValueError):
@@ -215,21 +217,22 @@ class Cost:
     """E(theta) = <psi|G|psi> - <b|A|psi>^2 from the term lists of A and G
     and a real unit state b.  Each operator must act on the lists' grid.
 
-    The constructor compiles both lists into one estimation table, in the
-    order the estimations are drawn (A's terms, then G's):
+    The constructor compiles both lists into one estimation table, laid
+    out and drawn in this order, the brackets before the probabilities:
 
     * each bracket <b|P|psi> (a shift power of a band, a distinct amplitude
       <j|psi> of a projector pair, a word) is a row r = P^T b of a matrix R,
     * each bracket <psi|P|psi> (a shift power |p| of a band, a word) is a
-      signed gather (P psi)[i] = sign[i] psi[perm[i]]; the shift L^p on the
-      zero-padded register has perm = max(i - p, 0) and sign = [i >= p],
+      signed gather (P psi)[i] = sign[i] psi[perm[i]], from
+      ``toeplitz.shift_gather`` for a shift, ``word_permutation`` for a word,
     * each projector preparation circuit's all-zeros probability is
       <prep|psi>^2, with its state a row of a matrix S.
 
+    A band's or a word's brackets, with their weights and free constant,
+    are those of ``decomposition.brackets``, the rule ``count_terms`` tallies.
     The estimations e then give E = w_g.e + c_g - (w_a.e)^2, where the
-    weights fold in the coefficients, the shared bracket of the powers +p
-    and -p, and the doubling of a conjugate pair W + W^T, and c_g is the
-    band's zero offset plus the identity words.  ``estimations`` is the
+    weights also fold in the coefficients and the doubling of a conjugate
+    pair W + W^T, and c_g sums the free constants.  ``estimations`` is the
     table's length, the number of estimations each evaluation draws.
 
     The k-th evaluation (k = 0, 1, ...; ``__call__`` and ``report`` alike)
@@ -250,16 +253,6 @@ class Cost:
             )
         if not abs(np.linalg.norm(b) - 1.0) <= 1e-12:
             raise ValueError("b must be a finite unit vector")
-        for op in (term.op for terms in (a_terms, g_terms) for term in terms.terms):
-            # a band acts on (n, 1), a word has one letter per axis, a projector fits n^d
-            if isinstance(op, ToeplitzSpec):
-                fits = (op.n, 1) == grids[0]
-            elif isinstance(op, deco.ProjectorPair):
-                fits = all(0 <= k < b.size for entry in op.pairs for k in entry)
-            else:
-                fits = len(op.letters) == grids[0][1]
-            if not fits:
-                raise DimensionMismatch(f"{op} does not fit the (n, d) = {grids[0]} grid")
         if shots is not None:
             shots = shot_count(shots)
         self.a_terms, self.g_terms, self.b = a_terms, g_terms, b
@@ -268,62 +261,59 @@ class Cost:
         self._compile(qubits)
 
     def _compile(self, qubits: int) -> None:
-        """Build the estimation table of the class docstring."""
-        n, b = self.a_terms.n, self.b
+        """Build the estimation table of the class docstring, one dispatch per
+        term; an operator off the lists' grid raises DimensionMismatch."""
+        n, d, b = self.a_terms.n, self.a_terms.dimension, self.b
         index = np.arange(b.size)
-        banks = ([], [], [])  # R rows, (perm, sign) gathers, S rows
-        slots = []  # (bank, position in it) of each estimation, in draw order
+        banks = rows, gathers, preps = ([], [], [])
         terms = [(term, False) for term in self.a_terms.terms]
         terms += [(term, True) for term in self.g_terms.terms]
-        # each term's value is sum(weight * e[slot] for slot, weight in value) + constant
+        # each term's value is sum(weight * e[slot]) + constant, a slot being
+        # (bank, position in it) until the banks' lengths are known
         values, constants = [], np.zeros(len(terms))
 
-        def estimate(bank: int, item) -> int:
+        def estimate(bank: int, item) -> tuple[int, int]:
             banks[bank].append(item)
-            slots.append((bank, len(banks[bank]) - 1))
-            return len(slots) - 1
+            return bank, len(banks[bank]) - 1
 
         for t, (term, same) in enumerate(terms):
             op, value = term.op, {}
-            if isinstance(op, ToeplitzSpec) and not same:
-                for power, coeff in op.coeffs.items():
-                    row = np.zeros(n)  # <b|L^power|psi> on the zero-padded register
-                    row[max(-power, 0): n - max(power, 0)] = b[max(power, 0): n + min(power, 0)]
-                    value[estimate(0, row)] = coeff
-            elif isinstance(op, ToeplitzSpec):
-                # <psi|L^-p|psi> = <psi|L^p|psi>: one bracket per |power|
-                c = op.coeffs
-                constants[t] = c.get(0, 0.0)
-                for power in sorted({abs(p) for p in c} - {0}):
-                    gather = (np.maximum(index - power, 0), (index >= power).astype(float))
-                    value[estimate(1, gather)] = c.get(power, 0.0) + c.get(-power, 0.0)
-            elif isinstance(op, deco.ProjectorPair) and not same:
-                amp = {}  # <j|psi>, one bracket per distinct amplitude
-                for i, j in op.entries:
-                    if j not in amp:
-                        amp[j] = estimate(0, (index == j).astype(float))
-                    value[amp[j]] = value.get(amp[j], 0.0) + b[i]
-            elif isinstance(op, deco.ProjectorPair):
-                # one all-zeros probability <prep|psi>^2 per preparation circuit
-                for prep, sign in bell_pair_circuits(op, qubits):
-                    value[estimate(2, run_statevector(prep).real)] = sign
-            elif same and op.is_identity:
-                constants[t] = 1.0
+            if isinstance(op, deco.ProjectorPair):
+                if not all(0 <= k < b.size for entry in op.pairs for k in entry):
+                    raise DimensionMismatch(f"{op} does not fit {b.size} amplitudes")
+                if same:  # one all-zeros probability <prep|psi>^2 per preparation circuit
+                    for prep, sign in bell_pair_circuits(op, qubits):
+                        value[estimate(2, run_statevector(prep).real)] = sign
+                else:  # <b|M|psi>: one bracket <j|psi> per distinct amplitude
+                    amp = {}
+                    for i, j in op.entries:
+                        if j not in amp:
+                            amp[j] = estimate(0, (index == j).astype(float))
+                        value[amp[j]] = value.get(amp[j], 0.0) + b[i]
             else:
-                perm, sign = deco.word_permutation(op.letters, n)
-                if same:
-                    value[estimate(1, (perm, sign))] = 1.0
-                else:  # <b|W|psi> = sum_i b[i] sign[i] psi[perm[i]]
-                    row = np.zeros(b.size)
-                    row[perm] = b * sign
-                    value[estimate(0, row)] = 1.0
+                # a band acts on (n, 1), a word has one letter per axis
+                band = isinstance(op, ToeplitzSpec)
+                fits = (op.n, 1) == (n, d) if band else len(op.letters) == d
+                if not fits:
+                    raise DimensionMismatch(f"{op} does not fit the (n, d) = {(n, d)} grid")
+                weights, constants[t] = deco.brackets(op, same)
+                for key, weight in weights.items():
+                    perm, sign = shift_gather(key, n) if band else deco.word_permutation(key, n)
+                    if same:
+                        value[estimate(1, (perm, sign))] = weight
+                    else:  # <b|P|psi> = sum_i b[i] sign[i] psi[perm[i]]
+                        value[estimate(0, np.bincount(perm, b * sign, b.size))] = weight
             values.append(value)
 
-        self.estimations = len(slots)
+        offsets = (0, len(rows), len(rows) + len(gathers))
+        # the Hadamard-test brackets come first, the projector probabilities after
+        self._brackets = offsets[2]
+        self.estimations = offsets[2] + len(preps)
         self._labels = [_label(term.op) for term, _ in terms]
         self._values = np.zeros((len(terms), self.estimations))
         for t, value in enumerate(values):
-            self._values[t, list(value)] = list(value.values())
+            for (bank, k), weight in value.items():
+                self._values[t, offsets[bank] + k] = weight
         self._constants = constants
         # a conjugate pair W + W^T: <psi|W^T|psi> = <psi|W|psi>
         self._weights = np.array(
@@ -334,7 +324,6 @@ class Cost:
         self._w_g = g_weights @ self._values
         self._c_g = float(g_weights @ constants)
 
-        rows, gathers, preps = banks
         self._rows = np.array(rows).reshape(-1, b.size)
         self._preps = np.array(preps).reshape(-1, b.size)
         per_block = max(_GATHER_BLOCK // b.size, 1)
@@ -343,12 +332,6 @@ class Cost:
                   for part in zip(*gathers[k: k + per_block]))
             for k in range(0, len(gathers), per_block)
         ]
-        # concatenating the banks' values and taking ``_order`` gives draw order
-        offsets = np.cumsum([0, len(rows), len(gathers)])
-        self._order = np.array([offsets[bank] + k for bank, k in slots], dtype=int)
-        # a Hadamard test reads 0 with probability (1 + x)/2, a projector
-        # circuit reads all zeros with probability x
-        self._hadamard = np.array([bank != 2 for bank, _ in slots], dtype=bool)
 
     def __call__(self, params: np.ndarray) -> float:
         return self._energy(self._estimations(params))
@@ -368,18 +351,21 @@ class Cost:
         return self._sampled(psi, lambda p: rng.binomial(shots, np.clip(p, 0.0, 1.0)) / shots)
 
     def _sampled(self, psi: np.ndarray, draw=None) -> np.ndarray:
-        """The table's estimations at ``psi``, in draw order: with ``draw``,
+        """The table's estimations at ``psi``, in table order: with ``draw``,
         draw(p) gives the estimated probabilities of outcomes whose exact
         probabilities are the array p; without, each is its exact value."""
         x = np.concatenate(
             [self._rows @ psi]
             + [(sign * psi[perm]) @ psi for perm, sign in self._gathers]
             + [(self._preps @ psi) ** 2]
-        )[self._order]
+        )
         if draw is None:
             return x
-        drawn = draw(np.where(self._hadamard, (1.0 + x) / 2.0, x))
-        return np.where(self._hadamard, 2.0 * drawn - 1.0, drawn)  # ancilla bias 2 p0 - 1
+        # a Hadamard test reads 0 with probability (1 + x)/2, a projector
+        # circuit reads all zeros with probability x
+        k = self._brackets
+        drawn = draw(np.concatenate([(1.0 + x[:k]) / 2.0, x[k:]]))
+        return np.concatenate([2.0 * drawn[:k] - 1.0, drawn[k:]])  # ancilla bias 2 p0 - 1
 
     def _energy(self, e: np.ndarray) -> float:
         """<psi|G|psi> - <b|A|psi>^2 from the estimations e."""
@@ -416,21 +402,27 @@ def make_toeplitz_system_cost(spec: ToeplitzSpec, b, ansatz, shots=None, seed=0)
     return Cost(_band_terms(spec), gram, normalize(b), ansatz, shots, seed)
 
 
-def _matvec_image(spec: ToeplitzSpec, v0) -> tuple[np.ndarray, np.ndarray, float]:
-    """(normalized v0, T v0, ||T v0||)."""
+def _matvec_image(spec: ToeplitzSpec, v0) -> tuple[np.ndarray, ToeplitzSpec, np.ndarray]:
+    """(normalized v0, T_s^T with T_s = T/||T v0||, the target state
+    T v0/||T v0||).  The band is first scaled by the power of two that brings
+    max|t_l| into [1/2, 1), so ||T v0|| stays in range; that is exact, so an
+    ordinary band's results keep every bit.  T annihilates v0 when
+    ||T v0|| <= 1e-12 * sum|t_l|, an upper bound on ||T v0||."""
     v0 = normalize(v0)
-    image = classical_toeplitz_matvec(spec, v0)
+    shift = math.frexp(max((abs(t) for t in spec.coeffs.values()), default=0.0))[1]
+    band = ToeplitzSpec(spec.n, {l: math.ldexp(t, -shift) for l, t in spec.coeffs.items()})
+    image = classical_toeplitz_matvec(band, v0)
     image_norm = np.linalg.norm(image)
-    if image_norm <= 1e-12:
+    if image_norm <= 1e-12 * sum(abs(t) for t in band.coeffs.values()):
         raise ZeroImage("T annihilates v0; the target state is undefined")
-    return v0, image, image_norm
+    transpose = ToeplitzSpec(spec.n, {-l: t / image_norm for l, t in band.coeffs.items()})
+    return v0, transpose, image / image_norm
 
 
 def make_matvec_cost(spec: ToeplitzSpec, v0, ansatz, shots=None, seed=0) -> Cost:
     """E(theta) = 1 - <psi|T_s|v0>^2 with T_s = T/||T v0||: the cost with
     A = T_s^T, G = I and b = v0, since <v0|T_s^T|psi> = <psi|T_s|v0>."""
-    v0, _, image_norm = _matvec_image(spec, v0)
-    transpose = ToeplitzSpec(spec.n, {-l: t / image_norm for l, t in spec.coeffs.items()})
+    v0, transpose, _ = _matvec_image(spec, v0)
     identity = deco.TermList(
         (deco.DecompositionTerm(1.0, deco.TensorWord(("I",))),), spec.n, 1
     )
@@ -439,8 +431,7 @@ def make_matvec_cost(spec: ToeplitzSpec, v0, ansatz, shots=None, seed=0) -> Cost
 
 def matvec_target_state(spec: ToeplitzSpec, v0: np.ndarray) -> np.ndarray:
     """Classical normalized image T|v0>, the state the matvec cost selects."""
-    _, image, image_norm = _matvec_image(spec, v0)
-    return image / image_norm
+    return _matvec_image(spec, v0)[2]
 
 
 def dense_hamiltonian(problem: PoissonProblem) -> np.ndarray:

@@ -93,6 +93,25 @@ def test_one_corner_rounding_to_one_solves(tmp_path):
     assert run(argv) == 0
 
 
+@pytest.mark.parametrize(
+    "mode, coeffs",
+    [
+        ("solve", {"0": 1e-13}),
+        ("matvec", {"0": 1e-13}),
+        ("matvec", {"0": 1.5e308, "1": 1.5e308, "-1": 1.5e308}),
+    ],
+    ids=["tiny-band-solve", "tiny-band-matvec", "huge-band-matvec"],
+)
+def test_band_of_any_scale_solves(tmp_path, mode, coeffs):
+    # the degeneracy checks scale with the band, and ||T v0|| does not overflow
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 8, "coeffs": coeffs}))
+    argv = ["toeplitz", mode, "--config", str(config), "--restarts", "1", "--out", str(tmp_path)]
+    assert run(argv) == 0
+    if mode == "matvec":  # T_s = T/||T v0|| makes the matvec cost independent of the scale
+        assert json.loads((tmp_path / "summary.json").read_text())["best_fidelity"] > 0.99
+
+
 def test_failed_gate_exits_1_before_optimizing(tmp_path, capsys, monkeypatch):
     default_term_lists = cli.default_term_lists
 

@@ -4,7 +4,8 @@ small, or not a power of two, is a ValueError (or the subclass each entry
 point documents); a dense construction past the cap is a DimensionOverflow.
 An index past its range, a circuit of the wrong width or an operator off its
 term list's grid is a DimensionMismatch; a vector with a non-finite entry,
-or a cost's b that is not a unit vector, is a ValueError."""
+or a cost's b that is not a unit vector, is a ValueError; a projector pattern
+no preparation circuit realizes is an UnsupportedPattern."""
 
 import numpy as np
 import pytest
@@ -27,6 +28,16 @@ def _cost_on(op, b=None):
     a_terms = deco.TermList((deco.DecompositionTerm(1.0, op),), 8, 1)
     b = prepare_b(PoissonProblem(1, 3)) if b is None else b
     return vqa.Cost(a_terms, deco.decompose_dirichlet_1d(8)[1], b, vqa.AnsatzSpec(3, 1))
+
+
+def _g_cost_on(op):
+    """A 1-D n = 8 cost whose G list holds ``op`` alone."""
+    g_terms = deco.TermList((deco.DecompositionTerm(1.0, op),), 8, 1)
+    return vqa.Cost(deco.decompose_dirichlet_1d(8)[0], g_terms, prepare_b(PoissonProblem(1, 3)),
+                    vqa.AnsatzSpec(3, 1))
+
+
+REPEATED_INDEX = deco.ProjectorPair(((0, 0), (0, 0)))
 
 
 def _hadamard_test(shots):
@@ -72,6 +83,8 @@ def _hadamard_test(shots):
         (lambda: _cost_on(deco.ProjectorPair(((-1, -1),))), DimensionMismatch),
         (lambda: _cost_on(ToeplitzSpec(16, {0: 1.0})), DimensionMismatch),
         (lambda: _cost_on(deco.TensorWord(("L", "L"))), DimensionMismatch),
+        (lambda: circuits.bell_pair_circuits(REPEATED_INDEX, 3), circuits.UnsupportedPattern),
+        (lambda: _g_cost_on(REPEATED_INDEX), circuits.UnsupportedPattern),
         (lambda: Circuit(2).x(True), TypeError),
         (lambda: Circuit(2).x(1.0), TypeError),
         (lambda: Circuit(2.5), TypeError),
@@ -87,7 +100,8 @@ def _hadamard_test(shots):
          "power-of-two-own-error", "basis-prep-index-past-range", "basis-state-index-fraction",
          "hadamard-controlled-too-narrow", "normalize-nan", "system-cost-nan-b",
          "cost-b-not-unit", "cost-projector-negative-index", "cost-band-other-size",
-         "cost-word-other-dimension", "circuit-qubit-boolean", "circuit-qubit-fraction",
+         "cost-word-other-dimension", "projector-repeated-index",
+         "cost-projector-repeated-index", "circuit-qubit-boolean", "circuit-qubit-fraction",
          "circuit-count-fraction", "termlist-fourth-positional"],
 )
 def test_rule_rejects(build, error):

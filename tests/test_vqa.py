@@ -245,6 +245,16 @@ def test_matvec_cost_matches_dense_overlap():
         assert make_matvec_cost(spec, v0, ansatz)(params) == pytest.approx(expected, abs=1e-10)
 
 
+def test_matvec_near_the_float_range_top():
+    # ||T v0|| of the 1.5e308 band overflows unless the band is scaled first
+    huge, plain = (ToeplitzSpec(8, {-1: t, 0: t, 1: t}) for t in (1.5e308, 1.5))
+    v0, ansatz = np.ones(8), AnsatzSpec(3, 2)
+    assert np.max(np.abs(matvec_target_state(huge, v0) - matvec_target_state(plain, v0))) <= 1e-12
+    costs = [make_matvec_cost(spec, v0, ansatz) for spec in (huge, plain)]
+    for params in np.random.default_rng(31).uniform(0, 2 * np.pi, (5, ansatz.param_count)):
+        assert abs(costs[0](params) - costs[1](params)) <= 1e-12
+
+
 def test_bracket_engine_same_state_asymmetric_band():
     # shot mode: offsets +p and -p share the one bracket <psi|L^p|psi>
     rng = np.random.default_rng(19)
@@ -590,6 +600,26 @@ def test_seeded_shot_costs_are_pinned():
     recorded = [2.3654255172150176, 4.557940068568081, 8.285703715708744]
     for point, value in zip(points, recorded):
         assert abs(cost(point) - value) <= 1e-12
+
+
+def test_draw_order_is_table_order():
+    # brackets <b|L^p|psi>, then brackets <psi|L^p|psi>, then projector
+    # probabilities, even where G lists its projector pair before its band
+    a_terms, a2_terms = deco.decompose_dirichlet_1d(8)
+    band, pair = (term.op for term in a2_terms.terms)
+    g_terms = deco.TermList((deco.DecompositionTerm(-1.0, pair),
+                             deco.DecompositionTerm(1.0, band)), 8, 1)
+    ansatz = AnsatzSpec(3, 1)
+    psi = ansatz_state(ansatz, np.array([0.4, -1.1, 2.3]))
+    cost = Cost(a_terms, g_terms, prepare_b(PoissonProblem(1, 3)), ansatz, shots=100)
+    drawn = []
+    cost._sampled(psi, lambda p: drawn.append(p) or p)
+    shift = {p: toeplitz_to_dense(ToeplitzSpec(8, {p: 1.0})) for p in (-1, 0, 1, 2)}
+    brackets = [cost.b @ shift[p] @ psi for p in (-1, 0, 1)] + [psi @ shift[p] @ psi for p in (1, 2)]
+    # |0><0| + |7><7| is read as the projectors onto (|0> + |7>)/sqrt(2) and (|0> - |7>)/sqrt(2)
+    probabilities = [(psi[0] + psi[7]) ** 2 / 2, (psi[0] - psi[7]) ** 2 / 2]
+    expected = [(1 + x) / 2 for x in brackets] + probabilities
+    assert np.max(np.abs(drawn[0] - expected)) <= 1e-12
 
 
 def test_shot_distribution_matches_gate_level_sampling():
