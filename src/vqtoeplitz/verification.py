@@ -2,9 +2,9 @@
 
 Each check reconstructs something two independent ways (circuit vs dense
 oracle, term list vs direct construction) and reports the max error
-against a fixed tolerance.  The solve commands run the reconstruction
-part of this suite for their own term lists before optimizing, so a
-miscompiled cost can never be optimized silently.
+against a fixed tolerance.  Before optimizing, ``solve-poisson`` runs the
+reconstruction part for its own term lists; the ``toeplitz`` commands do
+not (tests/test_decomposition.py checks their Gram list against T^T T).
 """
 
 from __future__ import annotations

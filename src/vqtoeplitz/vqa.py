@@ -30,16 +30,16 @@ term: one matrix-vector product for the brackets <b|P|psi>, blocked
 signed gathers for the brackets <psi|P|psi>, one matrix-vector product
 for the projector probabilities, and two weighted sums.  Exact mode takes
 each estimation at its exact value.  Shot mode draws all of them with one
-Binomial(shots, p) call over the table's probabilities, in table order,
-the brackets before the probabilities: the ancilla of the Hadamard test of
-a bracket x reads 0 with probability (1 + x)/2, and a projector circuit
-reads all zeros with probability <prep|psi>^2.
+Binomial(shots, p) call over the table's probabilities, from the one
+generator the cost makes from its seed, in table order, the brackets
+before the probabilities: the ancilla of the Hadamard test of a bracket x
+reads 0 with probability (1 + x)/2, and a projector circuit reads all
+zeros with probability <prep|psi>^2.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache
@@ -232,12 +232,13 @@ class Cost:
     are those of ``decomposition.brackets``, the rule ``count_terms`` tallies.
     The estimations e then give E = w_g.e + c_g - (w_a.e)^2, where the
     weights also fold in the coefficients and the doubling of a conjugate
-    pair W + W^T, and c_g sums the free constants.  ``estimations`` is the
+    pair W + W^T of G (one in A raises ValueError: <b|W^T|psi> is not
+    <b|W|psi>), and c_g sums the free constants.  ``estimations`` is the
     table's length, the number of estimations each evaluation draws.
 
-    The k-th evaluation (k = 0, 1, ...; ``__call__`` and ``report`` alike)
-    samples with seed + 7919*k, so a fresh cost's first evaluation is the
-    one-shot estimate at ``seed``.  Exact mode (shots=None) draws nothing.
+    Shot mode draws from one generator, made once from ``seed``; each
+    evaluation (``__call__`` and ``report`` alike) continues its stream.
+    Exact mode (shots=None) draws nothing.
     """
 
     def __init__(self, a_terms, g_terms, b, ansatz: AnsatzSpec, shots=None, seed=0):
@@ -256,8 +257,8 @@ class Cost:
         if shots is not None:
             shots = shot_count(shots)
         self.a_terms, self.g_terms, self.b = a_terms, g_terms, b
-        self.ansatz, self.shots, self.seed = ansatz, shots, integer(seed, "seed", 0)
-        self._evals = itertools.count()
+        self.ansatz, self.shots = ansatz, shots
+        self._rng = np.random.default_rng(integer(seed, "seed", 0))
         self._compile(qubits)
 
     def _compile(self, qubits: int) -> None:
@@ -278,6 +279,8 @@ class Cost:
 
         for t, (term, same) in enumerate(terms):
             op, value = term.op, {}
+            if term.conjugate_pair and not same:
+                raise ValueError(f"a conjugate pair of {_label(op)} in the A list")
             if isinstance(op, deco.ProjectorPair):
                 if not all(0 <= k < b.size for entry in op.pairs for k in entry):
                     raise DimensionMismatch(f"{op} does not fit {b.size} amplitudes")
@@ -315,7 +318,7 @@ class Cost:
             for (bank, k), weight in value.items():
                 self._values[t, offsets[bank] + k] = weight
         self._constants = constants
-        # a conjugate pair W + W^T: <psi|W^T|psi> = <psi|W|psi>
+        # a conjugate pair W + W^T of the G list: <psi|W^T|psi> = <psi|W|psi>
         self._weights = np.array(
             [(2 if term.conjugate_pair else 1) * term.coefficient for term, _ in terms]
         )
@@ -341,13 +344,11 @@ class Cost:
         return self._report(self._estimations(params))
 
     def _estimations(self, params: np.ndarray) -> np.ndarray:
-        """The k-th evaluation's estimations, drawn with seed + 7919*k."""
-        seed = self.seed + 7919 * next(self._evals)
+        """The estimations at ``params``; shot mode draws from the cost's generator."""
         psi = ansatz_state(self.ansatz, params)
         if self.shots is None:
             return self._sampled(psi)
-        rng = np.random.default_rng(seed)
-        shots = self.shots
+        rng, shots = self._rng, self.shots
         return self._sampled(psi, lambda p: rng.binomial(shots, np.clip(p, 0.0, 1.0)) / shots)
 
     def _sampled(self, psi: np.ndarray, draw=None) -> np.ndarray:
@@ -500,25 +501,25 @@ class TrainingTrace:
                 )
 
 
-class _StallStop(Exception):
-    pass
-
-
-def _nelder_mead(func, x0: np.ndarray) -> None:
-    """Nelder-Mead from ``x0`` until the simplex spans at most 1e-12 in every
-    coordinate and 1e-14 in value; ``func`` ends it sooner by raising.
+def _nelder_mead(x0: np.ndarray):
+    """Yield Nelder-Mead's points from ``x0`` until the simplex spans at most
+    1e-12 in every coordinate and 1e-14 in value.  Each value comes back by
+    ``send``, answered by a bare ``yield``, so a for loop sees each point once.
 
     The first simplex (each coordinate of x0 in turn scaled by 1.05, or set to
     0.00025 where it is 0) and the steps (reflect, expand by 2, contract and
-    shrink by 1/2) are those of scipy's default Nelder-Mead, so ``func`` sees
-    the same points in the same order, without the 19 MB of resident memory
-    that importing ``scipy.optimize`` takes (scipy 1.17).
+    shrink by 1/2) are those of scipy's default Nelder-Mead, so the caller
+    sees the same points in the same order, without the 19 MB of resident
+    memory that importing ``scipy.optimize`` takes (scipy 1.17).
     """
     n = x0.size
     sim = np.tile(x0, (n + 1, 1))
     for k in range(n):
         sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([func(x.copy()) for x in sim])
+    fsim = np.zeros(n + 1)
+    for j in range(n + 1):
+        fsim[j] = yield sim[j].copy()
+        yield
     while True:
         order = fsim.argsort()
         sim, fsim = sim[order], fsim[order]
@@ -527,28 +528,33 @@ def _nelder_mead(func, x0: np.ndarray) -> None:
             return
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = 2 * xbar - sim[-1]
-        fxr = func(xr)
+        fxr = yield xr
+        yield
         if fxr < fsim[0]:
             xe = 3 * xbar - 2 * sim[-1]
-            fxe = func(xe)
+            fxe = yield xe
+            yield
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:  # contract outside the simplex
                 xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = func(xc)
+                fxc = yield xc
+                yield
                 accept = fxc <= fxr
             else:  # contract inside it
                 xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = func(xc)
+                fxc = yield xc
+                yield
                 accept = fxc < fsim[-1]
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
             else:  # shrink toward the best point
                 for j in range(1, n + 1):
                     sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = func(sim[j].copy())
+                    fsim[j] = yield sim[j].copy()
+                    yield
 
 
 def optimize(
@@ -559,22 +565,20 @@ def optimize(
 ) -> TrainingTrace:
     """Minimize the cost by Nelder-Mead over `restarts` random initializations.
 
-    The trace records the best-so-far cost after every evaluation (so it
-    is monotone within a restart); when a reference state is supplied the
-    fidelity of the best-so-far parameters is recorded alongside.
-    Deterministic for a fixed config seed.
+    A restart ends on a stall, at `max_iters` evaluations or when the simplex
+    converges.  The trace records the best-so-far cost after every
+    evaluation (so it is monotone within a restart); when a reference state
+    is supplied the fidelity of the best-so-far parameters is recorded
+    alongside.  Deterministic for a fixed config seed.
     """
     trace = TrainingTrace()
     seed_seq = np.random.SeedSequence(config.seed)
-    for restart, child in enumerate(seed_seq.spawn(config.restarts)):
-        x0 = np.random.default_rng(child).uniform(0.0, 2.0 * np.pi, spec.param_count)
-        evals = last_improve = 0
-        best, best_x, best_fid = np.inf, x0, None
-
-        def wrapped(x):
-            nonlocal evals, last_improve, best, best_x, best_fid
+    for restart in range(config.restarts):
+        x0 = np.random.default_rng(seed_seq.spawn(1)[0]).uniform(0.0, 2.0 * np.pi, spec.param_count)
+        best, best_x, best_fid, last_improve = np.inf, x0, None, 0
+        points = _nelder_mead(x0)
+        for evals, x in enumerate(points, 1):
             value = cost(x)
-            evals += 1
             if value < best - STALL_TOL:
                 last_improve = evals
             if value < best:
@@ -583,13 +587,8 @@ def optimize(
                     best_fid = fidelity(reference_state, ansatz_state(spec, best_x))
             trace.records.append(TraceRecord(evals, restart, best, best_fid))
             if evals - last_improve > STALL_WINDOW or evals >= config.max_iters:
-                raise _StallStop
-            return value
-
-        try:
-            _nelder_mead(wrapped, x0)
-        except _StallStop:
-            pass
+                break
+            points.send(value)
 
         if best < trace.best_cost:
             trace.best_cost = float(best)

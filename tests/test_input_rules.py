@@ -4,8 +4,10 @@ small, or not a power of two, is a ValueError (or the subclass each entry
 point documents); a dense construction past the cap is a DimensionOverflow.
 An index past its range, a circuit of the wrong width or an operator off its
 term list's grid is a DimensionMismatch; a vector with a non-finite entry,
-or a cost's b that is not a unit vector, is a ValueError; a projector pattern
-no preparation circuit realizes is an UnsupportedPattern."""
+or a cost's b that is not a unit vector, is a ValueError, and so is a
+conjugate pair W + W^T in a cost's A list, whose brackets <b|W|psi> and
+<b|W^T|psi> differ; a projector pattern no preparation circuit realizes is
+an UnsupportedPattern."""
 
 import numpy as np
 import pytest
@@ -35,6 +37,17 @@ def _g_cost_on(op):
     g_terms = deco.TermList((deco.DecompositionTerm(1.0, op),), 8, 1)
     return vqa.Cost(deco.decompose_dirichlet_1d(8)[0], g_terms, prepare_b(PoissonProblem(1, 3)),
                     vqa.AnsatzSpec(3, 1))
+
+
+def _conjugate_pair_cost(op, dimension):
+    """A cost on 4 qubits whose A list is op + op^T, one conjugate-pair term,
+    and whose G list is the identity."""
+    n = 16 if dimension == 1 else 4
+    a_terms = deco.TermList((deco.DecompositionTerm(1.0, op, conjugate_pair=True),), n, dimension)
+    identity = deco.DecompositionTerm(1.0, deco.TensorWord(("I",) * dimension))
+    g_terms = deco.TermList((identity,), n, dimension)
+    return vqa.Cost(a_terms, g_terms, prepare_b(PoissonProblem(dimension, 4 // dimension)),
+                    vqa.AnsatzSpec(4, 1))
 
 
 REPEATED_INDEX = deco.ProjectorPair(((0, 0), (0, 0)))
@@ -85,6 +98,8 @@ def _hadamard_test(shots):
         (lambda: _cost_on(deco.TensorWord(("L", "L"))), DimensionMismatch),
         (lambda: circuits.bell_pair_circuits(REPEATED_INDEX, 3), circuits.UnsupportedPattern),
         (lambda: _g_cost_on(REPEATED_INDEX), circuits.UnsupportedPattern),
+        (lambda: _conjugate_pair_cost(deco.TensorWord(("L", "X")), 2), ValueError),
+        (lambda: _conjugate_pair_cost(ToeplitzSpec(16, {1: 1.0, 0: 2.0}), 1), ValueError),
         (lambda: Circuit(2).x(True), TypeError),
         (lambda: Circuit(2).x(1.0), TypeError),
         (lambda: Circuit(2.5), TypeError),
@@ -101,7 +116,8 @@ def _hadamard_test(shots):
          "hadamard-controlled-too-narrow", "normalize-nan", "system-cost-nan-b",
          "cost-b-not-unit", "cost-projector-negative-index", "cost-band-other-size",
          "cost-word-other-dimension", "projector-repeated-index",
-         "cost-projector-repeated-index", "circuit-qubit-boolean", "circuit-qubit-fraction",
+         "cost-projector-repeated-index", "cost-a-word-conjugate-pair",
+         "cost-a-band-conjugate-pair", "circuit-qubit-boolean", "circuit-qubit-fraction",
          "circuit-count-fraction", "termlist-fourth-positional"],
 )
 def test_rule_rejects(build, error):
