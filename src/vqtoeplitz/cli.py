@@ -33,7 +33,7 @@ from .linalg import (
     real_array,
 )
 from .poisson import build_poisson, prepare_b, problem_from_dict
-from .toeplitz import ToeplitzSpec, toeplitz_to_dense
+from .toeplitz import ToeplitzSpec, toeplitz_to_dense, unit_band
 from .vqa import (
     AnsatzSpec,
     Cost,
@@ -120,13 +120,16 @@ def cmd_solve_poisson(args, payload: dict, shots):
 
 
 def cmd_toeplitz(args, payload: dict, shots):
-    """Setup of ``toeplitz solve|matvec``: band -> vector -> cost -> classical
-    reference (the dense solve, or the normalized image T|v0>)."""
+    """Setup of ``toeplitz solve|matvec``: band -> ``unit_band`` -> vector ->
+    cost -> classical reference (the dense solve, or the normalized image
+    T|v0>), both from the scaled band."""
     keys = _object(payload["coeffs"], "coeffs")
     coeffs = {int(key): value for key, value in keys.items()}
     if len(coeffs) != len(keys):
         raise ValueError(f"two keys of {list(keys)} name the same offset")
-    spec = ToeplitzSpec(payload["n"], coeffs)
+    # one scale for the cost and the reference: the Gram band, ||T v0|| and
+    # the dense LU then stay in range, and 2^j T runs as T does
+    spec = unit_band(ToeplitzSpec(payload["n"], coeffs))
     check_dense(spec.n, "size")  # before the vector and the cost are built
     vec = _vector(payload, "rhs" if args.mode == "solve" else "v0", spec.n)
     ansatz = AnsatzSpec(num_qubits(vec), depth=args.depth)

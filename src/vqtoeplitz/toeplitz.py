@@ -6,6 +6,11 @@ on 2n points: the padding keeps the wrap-around of each shift out of the
 block.  Each L^l is ``circuits.controlled_Ll_circuit``, a tower of
 single-qubit phase gates (``phase_spectrum``) between a QFT pair; its
 block is ``shift_gather``, the one the cost and the classical multiply read.
+
+Both ``toeplitz`` CLI modes scale a band by one rule, ``unit_band``: the
+power of two that brings max|t_l| into [1/2, 1).  The scale is exact for an
+ordinary band, so a band and 2^j times it solve alike, and neither the
+Gram band nor ||T v0|| overflows.
 """
 
 from __future__ import annotations
@@ -61,6 +66,16 @@ class ToeplitzSpec:
             and self.n == other.n
             and self.coeffs == other.coeffs
         )
+
+
+def unit_band(spec: ToeplitzSpec) -> ToeplitzSpec:
+    """The band times the power of two that brings max|t_l| into [1/2, 1)
+    (an empty band is left as it is).  Each coefficient keeps its bits
+    unless it ends below the normal range, 2^-1022: then it loses bits, or
+    is dropped as 0, as for a band whose coefficients span more than
+    2^1021 from the largest."""
+    shift = math.frexp(max((abs(t) for t in spec.coeffs.values()), default=0.0))[1]
+    return ToeplitzSpec(spec.n, {l: math.ldexp(t, -shift) for l, t in spec.coeffs.items()})
 
 
 def band_sparse(spec: ToeplitzSpec) -> scipy.sparse.csr_matrix:

@@ -40,7 +40,6 @@ zeros with probability <prep|psi>^2.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -56,7 +55,7 @@ from .circuits import (
 )
 from .linalg import DimensionMismatch, dense_solve, fidelity, integer, normalize, num_qubits
 from .poisson import PoissonProblem, boundary_coefficients, build_poisson, prepare_b
-from .toeplitz import ToeplitzSpec, classical_toeplitz_matvec, shift_gather
+from .toeplitz import ToeplitzSpec, classical_toeplitz_matvec, shift_gather, unit_band
 
 
 class LengthMismatch(ValueError):
@@ -228,13 +227,15 @@ class Cost:
     * each projector preparation circuit's all-zeros probability is
       <prep|psi>^2, with its state a row of a matrix S.
 
-    A band's or a word's brackets, with their weights and free constant,
-    are those of ``decomposition.brackets``, the rule ``count_terms`` tallies.
-    The estimations e then give E = w_g.e + c_g - (w_a.e)^2, where the
-    weights also fold in the coefficients and the doubling of a conjugate
-    pair W + W^T of G (one in A raises ValueError: <b|W^T|psi> is not
-    <b|W|psi>), and c_g sums the free constants.  ``estimations`` is the
-    table's length, the number of estimations each evaluation draws.
+    Each estimation is one entry (term index, weight, kernel), the kernel
+    being its row of R, its gather or its row of S.  A band's or a word's
+    weights and free constant are those of ``decomposition.brackets``, the
+    rule ``count_terms`` tallies.  The estimations e then give
+    E = w_g.e + c_g - (w_a.e)^2, where the weights also fold in the
+    coefficients and the doubling of a conjugate pair W + W^T of G (one in
+    A raises ValueError: <b|W^T|psi> is not <b|W|psi>), and c_g sums the
+    free constants.  ``estimations`` is the table's length, the number of
+    estimations each evaluation draws.
 
     Shot mode draws from one generator, made once from ``seed``; each
     evaluation (``__call__`` and ``report`` alike) continues its stream.
@@ -262,37 +263,30 @@ class Cost:
         self._compile(qubits)
 
     def _compile(self, qubits: int) -> None:
-        """Build the estimation table of the class docstring, one dispatch per
-        term; an operator off the lists' grid raises DimensionMismatch."""
+        """Build the estimation table of the class docstring in one pass over
+        the terms.  Each estimation is an entry (term index, weight, kernel)
+        on one of three lists, rows, gathers and preps, whose concatenation
+        is the table; an operator off the lists' grid raises DimensionMismatch."""
         n, d, b = self.a_terms.n, self.a_terms.dimension, self.b
-        index = np.arange(b.size)
-        banks = rows, gathers, preps = ([], [], [])
         terms = [(term, False) for term in self.a_terms.terms]
         terms += [(term, True) for term in self.g_terms.terms]
-        # each term's value is sum(weight * e[slot]) + constant, a slot being
-        # (bank, position in it) until the banks' lengths are known
-        values, constants = [], np.zeros(len(terms))
-
-        def estimate(bank: int, item) -> tuple[int, int]:
-            banks[bank].append(item)
-            return bank, len(banks[bank]) - 1
-
+        rows, gathers, preps = [], [], []
+        constants = np.zeros(len(terms))
         for t, (term, same) in enumerate(terms):
-            op, value = term.op, {}
+            op = term.op
             if term.conjugate_pair and not same:
                 raise ValueError(f"a conjugate pair of {_label(op)} in the A list")
             if isinstance(op, deco.ProjectorPair):
                 if not all(0 <= k < b.size for entry in op.pairs for k in entry):
                     raise DimensionMismatch(f"{op} does not fit {b.size} amplitudes")
                 if same:  # one all-zeros probability <prep|psi>^2 per preparation circuit
-                    for prep, sign in bell_pair_circuits(op, qubits):
-                        value[estimate(2, run_statevector(prep).real)] = sign
+                    preps += [(t, sign, run_statevector(prep).real)
+                              for prep, sign in bell_pair_circuits(op, qubits)]
                 else:  # <b|M|psi>: one bracket <j|psi> per distinct amplitude
                     amp = {}
                     for i, j in op.entries:
-                        if j not in amp:
-                            amp[j] = estimate(0, (index == j).astype(float))
-                        value[amp[j]] = value.get(amp[j], 0.0) + b[i]
+                        amp[j] = amp.get(j, 0.0) + b[i]
+                    rows += [(t, weight, np.arange(b.size) == j) for j, weight in amp.items()]
             else:
                 # a band acts on (n, 1), a word has one letter per axis
                 band = isinstance(op, ToeplitzSpec)
@@ -303,20 +297,18 @@ class Cost:
                 for key, weight in weights.items():
                     perm, sign = shift_gather(key, n) if band else deco.word_permutation(key, n)
                     if same:
-                        value[estimate(1, (perm, sign))] = weight
+                        gathers.append((t, weight, (perm, sign)))
                     else:  # <b|P|psi> = sum_i b[i] sign[i] psi[perm[i]]
-                        value[estimate(0, np.bincount(perm, b * sign, b.size))] = weight
-            values.append(value)
+                        rows.append((t, weight, np.bincount(perm, b * sign, b.size)))
 
-        offsets = (0, len(rows), len(rows) + len(gathers))
         # the Hadamard-test brackets come first, the projector probabilities after
-        self._brackets = offsets[2]
-        self.estimations = offsets[2] + len(preps)
+        table = rows + gathers + preps
+        self._brackets = len(rows) + len(gathers)
+        self.estimations = len(table)
         self._labels = [_label(term.op) for term, _ in terms]
         self._values = np.zeros((len(terms), self.estimations))
-        for t, value in enumerate(values):
-            for (bank, k), weight in value.items():
-                self._values[t, offsets[bank] + k] = weight
+        for k, (t, weight, _) in enumerate(table):
+            self._values[t, k] = weight
         self._constants = constants
         # a conjugate pair W + W^T of the G list: <psi|W^T|psi> = <psi|W|psi>
         self._weights = np.array(
@@ -327,13 +319,14 @@ class Cost:
         self._w_g = g_weights @ self._values
         self._c_g = float(g_weights @ constants)
 
-        self._rows = np.array(rows).reshape(-1, b.size)
-        self._preps = np.array(preps).reshape(-1, b.size)
+        self._rows = np.array([row for _, _, row in rows], dtype=float).reshape(-1, b.size)
+        self._preps = np.array([prep for _, _, prep in preps]).reshape(-1, b.size)
+        kernels = [gather for _, _, gather in gathers]
         per_block = max(_GATHER_BLOCK // b.size, 1)
         self._gathers = [  # (perm, sign) of each block, one row per bracket; no copy of one
             tuple(np.stack(part) if len(part) > 1 else part[0][None]
-                  for part in zip(*gathers[k: k + per_block]))
-            for k in range(0, len(gathers), per_block)
+                  for part in zip(*kernels[k: k + per_block]))
+            for k in range(0, len(kernels), per_block)
         ]
 
     def __call__(self, params: np.ndarray) -> float:
@@ -405,13 +398,13 @@ def make_toeplitz_system_cost(spec: ToeplitzSpec, b, ansatz, shots=None, seed=0)
 
 def _matvec_image(spec: ToeplitzSpec, v0) -> tuple[np.ndarray, ToeplitzSpec, np.ndarray]:
     """(normalized v0, T_s^T with T_s = T/||T v0||, the target state
-    T v0/||T v0||).  The band is first scaled by the power of two that brings
-    max|t_l| into [1/2, 1), so ||T v0|| stays in range; that is exact, so an
-    ordinary band's results keep every bit.  T annihilates v0 when
+    T v0/||T v0||).  The band is first scaled by ``toeplitz.unit_band``, the
+    one scale rule (max|t_l| in [1/2, 1)), so ||T v0|| stays in range; that
+    is exact, so an ordinary band's results keep every bit, and a band the
+    rule already scaled is left as it is.  T annihilates v0 when
     ||T v0|| <= 1e-12 * sum|t_l|, an upper bound on ||T v0||."""
     v0 = normalize(v0)
-    shift = math.frexp(max((abs(t) for t in spec.coeffs.values()), default=0.0))[1]
-    band = ToeplitzSpec(spec.n, {l: math.ldexp(t, -shift) for l, t in spec.coeffs.items()})
+    band = unit_band(spec)
     image = classical_toeplitz_matvec(band, v0)
     image_norm = np.linalg.norm(image)
     if image_norm <= 1e-12 * sum(abs(t) for t in band.coeffs.values()):

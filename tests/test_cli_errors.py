@@ -27,6 +27,9 @@ def run(argv):
     "argv, payload, code",
     [
         (["toeplitz", "solve"], {"n": 8, "coeffs": {"1": 1}}, 4),
+        # tridiag(1, 1, 1) is singular at n = 8 (its leading minors run 1, 0, -1,
+        # -1, 0, 1, 1, 0); unscaled, its Gram band overflowed first and exited 2
+        (["toeplitz", "solve"], {"n": 8, "coeffs": {"0": 1.5e308, "1": 1.5e308, "-1": 1.5e308}}, 4),
         (["solve-poisson", "--depth", "0"], DIRICHLET, 2),
         (["solve-poisson", "--restarts", "0"], DIRICHLET, 2),
         (["solve-poisson", "--seed", "-1"], DIRICHLET, 2),
@@ -61,7 +64,7 @@ def run(argv):
         (["solve-poisson"],
          {**UNIFIED, "boundary": dict(UNIFIED["boundary"], alpha2=1e-17, beta2=1e-17)}, 4),
     ],
-    ids=["singular-band", "depth-0", "restarts-0", "seed-negative", "verify-seed-negative",
+    ids=["singular-band", "huge-singular-band", "depth-0", "restarts-0", "seed-negative", "verify-seed-negative",
          "config-not-object", "rhs-nan", "rhs-infinity", "1d-one-qubit", "band-size-1",
          "band-size-infinity", "band-size-fraction", "band-size-boolean", "dimension-boolean",
          "dimension-fraction", "qubits-fraction", "qubits-boolean", "verify-out-below-file",
@@ -99,17 +102,18 @@ def test_one_corner_rounding_to_one_solves(tmp_path):
         ("solve", {"0": 1e-13}),
         ("matvec", {"0": 1e-13}),
         ("matvec", {"0": 1.5e308, "1": 1.5e308, "-1": 1.5e308}),
+        ("solve", {"0": 1.5e308, "1": -7.5e307, "-1": -7.5e307}),
     ],
-    ids=["tiny-band-solve", "tiny-band-matvec", "huge-band-matvec"],
+    ids=["tiny-band-solve", "tiny-band-matvec", "huge-band-matvec", "huge-band-solve"],
 )
 def test_band_of_any_scale_solves(tmp_path, mode, coeffs):
-    # the degeneracy checks scale with the band, and ||T v0|| does not overflow
+    # both modes scale the band by toeplitz.unit_band: the degeneracy checks,
+    # the stall rule and the Gram band then see max|t_l| in [1/2, 1)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"n": 8, "coeffs": coeffs}))
     argv = ["toeplitz", mode, "--config", str(config), "--restarts", "1", "--out", str(tmp_path)]
     assert run(argv) == 0
-    if mode == "matvec":  # T_s = T/||T v0|| makes the matvec cost independent of the scale
-        assert json.loads((tmp_path / "summary.json").read_text())["best_fidelity"] > 0.99
+    assert json.loads((tmp_path / "summary.json").read_text())["best_fidelity"] > 0.99
 
 
 def test_failed_gate_exits_1_before_optimizing(tmp_path, capsys, monkeypatch):

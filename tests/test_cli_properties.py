@@ -3,6 +3,7 @@ exit code and never raises."""
 
 import dataclasses
 import json
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -126,3 +127,41 @@ def test_any_configuration_ends_in_a_documented_code(case, top_level, shots):
     assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_CAP, cli.EXIT_DEGENERATE)
     if any(isinstance(payload.get(key), (bool, float)) for key in INTEGER_FIELDS):
         assert code == cli.EXIT_CONFIG, payload
+
+
+@st.composite
+def scaled_bands(draw):
+    """A band on 4 or 8 points and a power of two 2^j that keeps every
+    coefficient finite and normal: frexp exponents within [-1021, 1024]."""
+    n = draw(st.sampled_from([4, 8]))
+    coeffs = draw(st.dictionaries(st.sampled_from(["0", "1", "-1"]),
+                                  st.one_of(st.floats(-3.0, -1e-3), st.floats(1e-3, 3.0)),
+                                  min_size=1))
+    exponents = [math.frexp(t)[1] for t in coeffs.values()]
+    return n, coeffs, draw(st.integers(-1021 - min(exponents), 1024 - max(exponents)))
+
+
+def _toeplitz_run(tmp: Path, mode: str, payload: dict):
+    """The exit code, trace.csv and summary.json (less its wall time) of one
+    ``toeplitz`` run with one restart."""
+    config = tmp / "config.json"
+    config.write_text(json.dumps(payload))
+    out = tmp / "out"
+    code = cli.main(["toeplitz", mode, "--config", str(config), "--out", str(out),
+                     "--restarts", "1"])
+    if code != cli.EXIT_OK:
+        return code, None, None
+    summary = json.loads((out / "summary.json").read_text())
+    del summary["wall_time"]
+    return code, (out / "trace.csv").read_bytes(), summary
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(band=scaled_bands(), mode=st.sampled_from(["solve", "matvec"]))
+def test_scaled_band_runs_alike(band, mode):
+    # toeplitz.unit_band maps T and 2^j T to the same band, so both runs match
+    n, coeffs, j = band
+    scaled = {l: math.ldexp(t, j) for l, t in coeffs.items()}
+    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as tmp_scaled:
+        assert (_toeplitz_run(Path(tmp), mode, {"n": n, "coeffs": coeffs})
+                == _toeplitz_run(Path(tmp_scaled), mode, {"n": n, "coeffs": scaled}))

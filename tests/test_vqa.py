@@ -561,19 +561,20 @@ UNIFIED = BoundaryCondition.unified(1.0, 2.0, 3.0, 1.0)
 
 
 @pytest.mark.parametrize(
-    "problems, expected",
+    "problems, brackets, probabilities",
     [
-        ([PoissonProblem(1, q) for q in (3, 4, 5, 6, 12)], 7),
-        ([PoissonProblem(1, q, UNIFIED) for q in (3, 4, 5, 6, 12)], 13),
-        ([PoissonProblem(2, q) for q in (2, 3, 6)], 57),
-        ([PoissonProblem(3, q) for q in (1, 2, 4)], 121),
+        ([PoissonProblem(1, q) for q in (3, 4, 5, 6, 12)], 5, 2),
+        ([PoissonProblem(1, q, UNIFIED) for q in (3, 4, 5, 6, 12)], 7, 6),
+        ([PoissonProblem(2, q) for q in (2, 3, 6)], 57, 0),
+        ([PoissonProblem(3, q) for q in (1, 2, 4)], 121, 0),
     ],
     ids=["dirichlet-1d", "unified-1d", "dirichlet-2d", "dirichlet-3d"],
 )
-def test_shot_estimations_independent_of_n(problems, expected):
+def test_shot_estimations_independent_of_n(problems, brackets, probabilities):
     # the paper's claim, on what both modes execute: the number of circuit
     # estimations per evaluation does not grow with the grid (one Hadamard
-    # test per bracket, one probability per projector preparation)
+    # test per bracket, one probability per projector preparation), nor does
+    # the table's split into brackets, drawn first, and probabilities
     counts = []
     for problem in problems:
         ansatz = AnsatzSpec(problem.total_qubits, 1)
@@ -586,8 +587,8 @@ def test_shot_estimations_independent_of_n(problems, expected):
 
         cost._sampled(ansatz_state(ansatz, np.full(ansatz.param_count, 0.3)), draw)
         assert drawn == [cost.estimations]
-        counts.append(cost.estimations)
-    assert counts == [expected] * len(problems)
+        counts.append((cost._brackets, cost.estimations))
+    assert counts == [(brackets, brackets + probabilities)] * len(problems)
 
 
 def test_seeded_shot_costs_are_pinned():
