@@ -16,25 +16,33 @@ with A = T_s^T, T_s = T/||T v0||, and b = v0:
 
 which vanishes exactly when |psi> matches the normalized image T|v0>.
 
-Both modes prepare the ansatz statevector once per evaluation, with the
-real kernel ``ansatz_state`` (each layer's Ry rotations in Kronecker blocks
-of at most 3 qubits, one matrix product per block, and each layer's CNOT
-chain one gather; it equals the gate-level simulation of ``ansatz_circuit``
-within 1e-14), and evaluate the same estimations, the units of the
-gate-level circuits (``circuits``): one Hadamard-test bracket per shift
-power of a band, one per distinct amplitude of a projector pair's cross
-term, one per tensor word, one all-zeros probability per projector
-preparation circuit.  ``Cost`` compiles them once into an estimation
-table, so an evaluation is a few array operations, not a Python call per
-term: one matrix-vector product for the brackets <b|P|psi>, blocked
-signed gathers for the brackets <psi|P|psi>, one matrix-vector product
-for the projector probabilities, and two weighted sums.  Exact mode takes
-each estimation at its exact value.  Shot mode draws all of them with one
-Binomial(shots, p) call over the table's probabilities, from the one
-generator the cost makes from its seed, in table order, the brackets
-before the probabilities: the ancilla of the Hadamard test of a bracket x
-reads 0 with probability (1 + x)/2, and a projector circuit reads all
-zeros with probability <prep|psi>^2.
+Every evaluation prepares the ansatz statevector once, with the real
+kernel ``ansatz_state`` (the first layer's Ry rotations as a product state,
+each later layer's in Kronecker blocks of at most 3 qubits, one matrix
+product per block, and each layer's CNOT chain one gather; it equals the
+gate-level simulation of ``ansatz_circuit`` within 1e-14, and it prepares
+a stack of parameter vectors in one call).  ``Cost`` compiles the
+estimations, the units of the gate-level circuits (``circuits``), once
+into an estimation table: one Hadamard-test bracket per shift power of a
+band, one per distinct amplitude of a projector pair's cross term, one per
+tensor word, one all-zeros probability per projector preparation circuit.
+An evaluation from the table is a few array operations, not a Python call
+per term: one matrix-vector product for the brackets <b|P|psi>, blocked
+signed gathers for the brackets <psi|P|psi>, one matrix-vector product for
+the projector probabilities, and two weighted sums.  Shot mode draws all of
+them with one Binomial(shots, p) call over the table's probabilities, from
+the one generator the cost makes from its seed, in table order, the
+brackets before the probabilities: the ancilla of the Hadamard test of a
+bracket x reads 0 with probability (1 + x)/2, and a projector circuit reads
+all zeros with probability <prep|psi>^2.  Exact mode needs no estimation
+one by one: the same compile pass sums the table's <psi|P|psi> kernels,
+weighted, into one quadratic form, so its value is
+
+    E(theta) = psi^T Q psi + c_g - (a.psi)^2,    a = A^T b,
+
+and ``report`` takes the table at its exact values.  ``optimize`` records
+the fidelity of each best point so far from batched ``ansatz_state`` calls
+after each restart, whatever the cost callable.
 """
 
 from __future__ import annotations
@@ -88,16 +96,19 @@ class AnsatzSpec:
 
 
 def _checked_params(spec: AnsatzSpec, params) -> np.ndarray:
+    """``params`` as floats, with ``spec.param_count`` on the last axis."""
     params = np.asarray(params, dtype=float)
-    if params.shape != (spec.param_count,):
+    if params.shape[-1:] != (spec.param_count,):
         raise LengthMismatch(
-            f"expected {spec.param_count} parameters, got {params.shape}"
+            f"expected {spec.param_count} parameters on the last axis, got shape {params.shape}"
         )
     return params
 
 
 def ansatz_circuit(spec: AnsatzSpec, params: np.ndarray) -> Circuit:
     params = _checked_params(spec, params)
+    if params.ndim != 1:
+        raise LengthMismatch(f"a circuit takes one parameter vector, got shape {params.shape}")
     circ = Circuit(spec.num_qubits)
     for layer in params.reshape(spec.depth, spec.num_qubits):
         for q, theta in enumerate(layer):
@@ -145,33 +156,48 @@ def _kron_index(qubits: int) -> tuple[np.ndarray, ...]:
 
 
 def ansatz_state(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
-    """The ansatz statevector, real (float64).  Each layer's rotations are
-    applied in Kronecker blocks of at most ``_ROTATION_BLOCK`` qubits: the
-    block kron(Ry, ..., Ry) on the register's top g qubits is one matrix
-    product with ``psi.reshape(2**g, -1)``, and the transpose of the result
-    moves those qubits to the bottom, so after a layer's last block every
-    qubit is back in place.  Each layer's CNOT chain is one gather.  It
-    equals ``run_statevector(ansatz_circuit(...))`` within 1e-14; a state
-    whose norm is not 1 (a NaN parameter) raises NonUnitaryBlock."""
+    """The ansatz statevectors, real (float64), for parameters of shape
+    (..., P): states of shape (..., 2**N), each the one its own parameter
+    vector gives alone.
+
+    The register's rotations come in Kronecker blocks kron(Ry, ..., Ry) of
+    at most ``_ROTATION_BLOCK`` qubits.  The first layer acts on |0...0>,
+    so it gives the product state of its blocks' columns 0.  Each later
+    layer applies its blocks in turn: the block on the register's top g
+    qubits is one matrix product with the state as a (2**g, -1) matrix, and
+    the transpose of the result moves those qubits to the bottom, so after
+    a layer's last block every qubit is back in place.  Each layer's CNOT
+    chain is one gather.  It equals ``run_statevector(ansatz_circuit(...))``
+    within 1e-14.  A NaN or infinite parameter raises NonUnitaryBlock."""
     params = _checked_params(spec, params)
     qubits = spec.num_qubits
-    half = params.reshape(spec.depth, qubits, 1) / 2
-    # Ry(theta) = [[c, -s], [s, c]], row by row, for every layer and qubit
-    entries = (np.cos(half) * [1.0, 0.0, 0.0, 1.0]
-               + np.sin(half) * [0.0, -1.0, 1.0, 0.0]).reshape(spec.depth, -1)
-    blocks = [np.multiply.reduce(entries[:, index], axis=1) for index in _kron_index(qubits)]
+    half = params.reshape(-1, spec.depth, qubits, 1) / 2
+    points = len(half)
+    cos, sin = np.cos(half), np.sin(half)
+    # Ry(theta) = [[c, -s], [s, c]], row by row, for every point, layer and qubit
+    entries = np.concatenate([cos, -sin, sin, cos], axis=3).reshape(points, spec.depth, -1)
+    blocks = [np.multiply.reduce(entries[:, :, index], axis=2) for index in _kron_index(qubits)]
+    # on |0...0> a block kron(Ry, ..., Ry) gives its column 0: the first
+    # layer's rotations make the product state of the blocks' columns
+    psi = blocks[0][:, 0, :, 0]
+    for block in blocks[1:]:
+        psi = (psi[:, :, None] * block[:, 0, None, :, 0]).reshape(points, -1)
     gather = _cnot_chain(qubits)
-    psi = np.zeros(1 << qubits)
-    psi[0] = 1.0
-    for layer in range(spec.depth):
+    psi = psi.take(gather, axis=1)
+    for layer in range(1, spec.depth):
         for block in blocks:
-            matrix = block[layer]
-            psi = (matrix @ psi.reshape(len(matrix), -1)).T.reshape(-1)
-        psi = psi[gather]
-    norm = float(np.sqrt(np.dot(psi, psi)))
-    if not abs(norm - 1.0) < 1e-12:
+            matrix = block[:, layer]
+            psi = (matrix @ psi.reshape(points, matrix.shape[-1], -1)).swapaxes(1, 2)
+            psi = psi.reshape(points, -1)
+        psi = psi.take(gather, axis=1)
+    # a finite parameter vector keeps its state's norm at 1 and a NaN or an
+    # infinity makes its state NaN, so the sum of the squared norms tells
+    total = float(np.vdot(psi, psi))
+    if not abs(total - points) < 2e-12 * points:
+        norms = np.sqrt(np.einsum("ij,ij->i", psi, psi))
+        norm = norms[np.argmax(np.abs(norms - 1.0))]
         raise NonUnitaryBlock(f"the ansatz changed the state norm from 1 to {norm}")
-    return psi
+    return psi.reshape(params.shape[:-1] + (-1,))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +238,27 @@ def _label(op: deco.Operator) -> str:
 _GATHER_BLOCK = 1 << 15
 
 
+def _folded(parts, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries (row, col, value) of ``parts`` folded onto row <= col and
+    summed, each pair once, zeros dropped: the triplets (i, j, q) with
+    psi^T Q psi = sum q psi[i] psi[j] for the Q the parts' entries sum to.
+    Each part is merged as it comes into the sorted pairs so far, so no
+    work array is much larger than the result."""
+    keys, values = np.zeros(0, dtype=np.int64), np.zeros(0)
+    for rows, cols, part in parts:
+        pair = np.minimum(rows, cols) * size + np.maximum(rows, cols)
+        keys = np.concatenate([keys, pair.ravel()])
+        values = np.concatenate([values, part.ravel()])
+        order = keys.argsort(kind="stable")  # the pairs so far are one sorted run
+        keys = keys[order]
+        values = values[order]
+        starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        keys = keys[starts]
+        values = np.add.reduceat(values, starts)
+    kept = values != 0
+    return *np.divmod(keys[kept], size), values[kept]
+
+
 class Cost:
     """E(theta) = <psi|G|psi> - <b|A|psi>^2 from the term lists of A and G
     and a real unit state b.  Each operator must act on the lists' grid.
@@ -239,7 +286,11 @@ class Cost:
 
     Shot mode draws from one generator, made once from ``seed``; each
     evaluation (``__call__`` and ``report`` alike) continues its stream.
-    Exact mode (shots=None) draws nothing.
+    Exact mode (shots=None) draws nothing, and its ``__call__`` skips the
+    table: the compile pass also sums each gather's and each row of S's
+    weighted entries into one quadratic form Q, kept as the triplets
+    (i <= j, q) of ``_folded``, so E = psi^T Q psi + c_g - (a.psi)^2 with
+    a = R^T w_a.  ``report`` takes the table in both modes.
     """
 
     def __init__(self, a_terms, g_terms, b, ansatz: AnsatzSpec, shots=None, seed=0):
@@ -329,8 +380,27 @@ class Cost:
             for k in range(0, len(kernels), per_block)
         ]
 
+        # exact mode: <psi|G|psi> = psi^T Q psi, from the gathers' and the
+        # preparation rows' weighted entries, and <b|A|psi> = a.psi, a = R^T w_a
+        self._a = self._w_a[: len(rows)] @ self._rows
+        w_gathers = self._w_g[len(rows): self._brackets]
+        i = np.arange(b.size)
+
+        def parts():  # (row, col, value) of every entry, one block at a time
+            for k, (perm, sign) in zip(range(0, len(kernels), per_block), self._gathers):
+                yield i, perm, w_gathers[k: k + len(perm), None] * sign
+            for weight, prep in zip(self._w_g[self._brackets:], self._preps):
+                nz = np.flatnonzero(prep)
+                yield nz[:, None], nz, weight * np.outer(prep[nz], prep[nz])
+
+        self._q = _folded(parts(), b.size)
+
     def __call__(self, params: np.ndarray) -> float:
-        return self._energy(self._estimations(params))
+        if self.shots is not None:
+            return self._energy(self._estimations(params))
+        psi = ansatz_state(self.ansatz, params)
+        rows, cols, values = self._q
+        return float((values * psi[rows]) @ psi[cols] + self._c_g - (self._a @ psi) ** 2)
 
     def report(self, params: np.ndarray) -> tuple[float, list[TermReport]]:
         """The cost and one report row per term, the overlap <b|A|psi> last."""
@@ -447,6 +517,12 @@ def solution_fidelity(problem: PoissonProblem, ansatz: AnsatzSpec, params: np.nd
 # optimization
 
 
+# The fidelity track prepares its states in batches whose kernel arrays (the
+# Kronecker factors, at most 4^_ROTATION_BLOCK entries per rotation, and the
+# states) hold at most this many entries, so a batch takes little more memory
+# than one state does: the factors of a few hundred points would take a MB.
+_STATE_BATCH = 1 << 12
+
 # a restart stops after STALL_WINDOW evaluations without a gain of STALL_TOL
 STALL_WINDOW = 50
 STALL_TOL = 1e-8
@@ -562,13 +638,18 @@ def optimize(
     converges.  The trace records the best-so-far cost after every
     evaluation (so it is monotone within a restart); when a reference state
     is supplied the fidelity of the best-so-far parameters is recorded
-    alongside.  Deterministic for a fixed config seed.
+    alongside.  Those fidelities come after the restart's loop, whatever the
+    cost callable: its improving points go through ``ansatz_state`` in
+    batches of ``_STATE_BATCH`` kernel entries, one call per batch, so no
+    state is prepared twice for the record.  Deterministic for a fixed
+    config seed.
     """
     trace = TrainingTrace()
     seed_seq = np.random.SeedSequence(config.seed)
     for restart in range(config.restarts):
         x0 = np.random.default_rng(seed_seq.spawn(1)[0]).uniform(0.0, 2.0 * np.pi, spec.param_count)
-        best, best_x, best_fid, last_improve = np.inf, x0, None, 0
+        best, best_x, last_improve = np.inf, x0, 0
+        improving, which = [], []  # the restart's improving points; each record's best one
         points = _nelder_mead(x0)
         for evals, x in enumerate(points, 1):
             value = cost(x)
@@ -576,13 +657,24 @@ def optimize(
                 last_improve = evals
             if value < best:
                 best, best_x = value, np.array(x, dtype=float)
-                if reference_state is not None:
-                    best_fid = fidelity(reference_state, ansatz_state(spec, best_x))
-            trace.records.append(TraceRecord(evals, restart, best, best_fid))
+                improving.append(best_x)
+            trace.records.append(TraceRecord(evals, restart, best))
+            which.append(len(improving) - 1)
             if evals - last_improve > STALL_WINDOW or evals >= config.max_iters:
                 break
             points.send(value)
 
+        if reference_state is not None:
+            per_point = 4**_ROTATION_BLOCK * spec.param_count + (1 << spec.num_qubits)
+            per_batch = max(_STATE_BATCH // per_point, 1)
+            fids = [
+                fidelity(reference_state, state)
+                for k in range(0, len(improving), per_batch)
+                for state in ansatz_state(spec, np.array(improving[k: k + per_batch]))
+            ]
+            fids.append(None)  # which = -1: no point has improved yet
+            for rec, k in zip(trace.records[-len(which):], which):
+                rec.fidelity = fids[k]
         if best < trace.best_cost:
             trace.best_cost = float(best)
             trace.best_params = best_x

@@ -57,9 +57,12 @@ def random_point(ansatz: AnsatzSpec, seed: int):
 
 
 def exact_and_drawn(make, params, psi) -> float:
-    """Exact mode's cost, after checking that the identity-draw shot report
-    matches its report row by row."""
-    energy, rows = make(None).report(params)
+    """Exact mode's cost, after checking that its value, psi^T Q psi + c_g -
+    (a.psi)^2, is the energy of its estimation table, and that the
+    identity-draw shot report matches its report row by row."""
+    exact = make(None)
+    assert abs(exact(params) - exact._energy(exact._sampled(psi))) <= 1e-12
+    energy, rows = exact.report(params)
     shot = make(1000)
     drawn, drawn_rows = shot._report(shot._sampled(psi, lambda p: p))
     assert abs(drawn - energy) <= 1e-12

@@ -24,8 +24,8 @@ from vqtoeplitz.circuits import (
     run_statevector,
     state_prep_circuit,
 )
-from vqtoeplitz.linalg import DimensionMismatch, basis_state, fidelity, normalize
-from vqtoeplitz.poisson import BoundaryCondition, PoissonProblem, prepare_b
+from vqtoeplitz.linalg import DimensionMismatch, basis_state, dense_solve, fidelity, normalize
+from vqtoeplitz.poisson import BoundaryCondition, PoissonProblem, build_poisson, prepare_b
 from vqtoeplitz.toeplitz import ToeplitzSpec, toeplitz_to_dense
 from vqtoeplitz.vqa import (
     AnsatzSpec,
@@ -120,7 +120,31 @@ def test_ansatz_length_mismatch():
     with pytest.raises(LengthMismatch):
         ansatz_circuit(AnsatzSpec(3, 2), np.zeros(5))
     with pytest.raises(LengthMismatch):
+        ansatz_circuit(AnsatzSpec(3, 2), np.zeros((2, 6)))  # one circuit, one vector
+    with pytest.raises(LengthMismatch):
         ansatz_state(AnsatzSpec(3, 2), np.zeros(5))
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (7,), (2, 3)])
+def test_ansatz_state_of_stacked_points(lead):
+    # parameters of shape (..., P) give states of shape (..., 2^N), each row
+    # the state of its own parameter vector
+    rng = np.random.default_rng(81)
+    for qubits in range(1, 7):
+        for depth in (1, 2, 3):
+            spec = AnsatzSpec(qubits, depth)
+            params = rng.uniform(0, 2 * np.pi, lead + (spec.param_count,))
+            states = ansatz_state(spec, params)
+            assert states.shape == lead + (1 << qubits,)
+            for index in np.ndindex(lead):
+                single = ansatz_state(spec, params[index])
+                assert np.max(np.abs(states[index] - single)) <= 1e-15
+            with pytest.raises(LengthMismatch):
+                ansatz_state(spec, params[..., 1:])
+            bad = params.copy()
+            bad.reshape(-1, spec.param_count)[-1, -1] = np.nan
+            with pytest.raises(NonUnitaryBlock):
+                ansatz_state(spec, bad)
 
 
 def test_ansatz_state_rejects_nan_parameter():
@@ -736,8 +760,42 @@ def test_optimize_records_fidelity_when_reference_known():
     x = normalize(dense_solve(build_poisson_1d(problem), np.asarray(prepare_b(problem))))
     cost = make_linear_system_cost(problem, spec)
     trace = optimize(cost, spec, OptimizerConfig(restarts=1, seed=3, max_iters=400), x)
-    fids = [r.fidelity for r in trace.records if r.fidelity is not None]
-    assert fids and fids[-1] > 0.9
+    fids = [r.fidelity for r in trace.records]
+    assert None not in fids and fids[-1] > 0.9
+    assert abs(fids[-1] - fidelity(x, ansatz_state(spec, trace.best_params))) <= 1e-15
+
+
+@pytest.mark.parametrize("dimension, qubits_per_axis, depth", [(1, 3, 2), (2, 2, 1)])
+def test_optimize_fidelity_is_that_of_the_best_point_so_far(dimension, qubits_per_axis, depth):
+    # the fidelities come from batched state preparations after each restart;
+    # each must be that of the best point the cost had seen by its record
+    problem = PoissonProblem(dimension, qubits_per_axis)
+    spec = AnsatzSpec(problem.total_qubits, depth)
+    cost = make_linear_system_cost(problem, spec)
+    x = normalize(dense_solve(build_poisson(problem), np.asarray(prepare_b(problem))))
+    seen = []
+
+    def recording(p):
+        seen.append((np.array(p, dtype=float), cost(p)))
+        return seen[-1][1]
+
+    config = OptimizerConfig(restarts=3, seed=5, max_iters=150)
+    trace = optimize(recording, spec, config, x)
+    assert len(seen) == len(trace.records)
+    for (point, value), rec in zip(seen, trace.records):
+        if rec.iteration == 1:
+            best, best_point = np.inf, None
+        if value < best:
+            best, best_point = value, point
+        assert rec.cost == best
+        assert abs(rec.fidelity - fidelity(x, ansatz_state(spec, best_point))) <= 1e-15
+    assert {rec.restart for rec in trace.records} == set(range(config.restarts))
+
+    untracked = optimize(cost, spec, config)
+    assert all(rec.fidelity is None for rec in untracked.records)
+    assert [(r.iteration, r.restart, r.cost) for r in untracked.records] == [
+        (r.iteration, r.restart, r.cost) for r in trace.records
+    ]
 
 
 def test_optimize_counts_evaluations_up_to_max_iters():
