@@ -34,9 +34,11 @@ them with one Binomial(shots, p) call over the table's probabilities, from
 the one generator the cost makes from its seed, in table order, the
 brackets before the probabilities: the ancilla of the Hadamard test of a
 bracket x reads 0 with probability (1 + x)/2, and a projector circuit reads
-all zeros with probability <prep|psi>^2.  Exact mode needs no estimation
-one by one: the same compile pass sums the table's <psi|P|psi> kernels,
-weighted, into one quadratic form, so its value is
+all zeros with probability <prep|psi>^2.  The compile pass keeps that map
+as one affine map over the table, so an evaluation maps, clips, draws and
+maps back the whole table at once.  Exact mode needs no estimation one by
+one: the same compile pass sums the table's <psi|P|psi> kernels, weighted,
+into one quadratic form, so its value is
 
     E(theta) = psi^T Q psi + c_g - (a.psi)^2,    a = A^T b,
 
@@ -285,7 +287,13 @@ class Cost:
     estimations each evaluation draws.
 
     Shot mode draws from one generator, made once from ``seed``; each
-    evaluation (``__call__`` and ``report`` alike) continues its stream.
+    evaluation (``__call__`` and ``report`` alike) continues its stream
+    with one Binomial(shots, p) call over the whole table.  The compile
+    pass keeps the shot map p = slope x + offset, in table order: (1/2, 1/2)
+    for a bracket x, whose Hadamard test reads 0 with probability
+    (1 + x)/2, and (1, 0) for a preparation probability.  Its inverse
+    (f - offset)/slope takes each drawn frequency f back to an estimation:
+    2f - 1 (the ancilla bias) and f.
     Exact mode (shots=None) draws nothing, and its ``__call__`` skips the
     table: the compile pass also sums each gather's and each row of S's
     weighted entries into one quadratic form Q, kept as the triplets
@@ -356,6 +364,10 @@ class Cost:
         table = rows + gathers + preps
         self._brackets = len(rows) + len(gathers)
         self.estimations = len(table)
+        # the shot map of the class docstring; (f - 1/2)/(1/2) is 2f - 1 to
+        # the bit, since halving and doubling are exact
+        bracket = np.arange(self.estimations) < self._brackets
+        self._shot_map = np.where(bracket, 0.5, 1.0), np.where(bracket, 0.5, 0.0)
         self._labels = [_label(term.op) for term, _ in terms]
         self._values = np.zeros((len(terms), self.estimations))
         for k, (t, weight, _) in enumerate(table):
@@ -409,15 +421,17 @@ class Cost:
     def _estimations(self, params: np.ndarray) -> np.ndarray:
         """The estimations at ``params``; shot mode draws from the cost's generator."""
         psi = ansatz_state(self.ansatz, params)
-        if self.shots is None:
-            return self._sampled(psi)
-        rng, shots = self._rng, self.shots
-        return self._sampled(psi, lambda p: rng.binomial(shots, np.clip(p, 0.0, 1.0)) / shots)
+        return self._sampled(psi, None if self.shots is None else self._draw)
+
+    def _draw(self, p: np.ndarray) -> np.ndarray:
+        """The frequencies of Binomial(shots, p) draws, one per entry of p."""
+        return self._rng.binomial(self.shots, p.clip(0.0, 1.0)) / self.shots
 
     def _sampled(self, psi: np.ndarray, draw=None) -> np.ndarray:
         """The table's estimations at ``psi``, in table order: with ``draw``,
         draw(p) gives the estimated probabilities of outcomes whose exact
-        probabilities are the array p; without, each is its exact value."""
+        probabilities are the array p, mapped to estimations by the shot
+        map; without, each is its exact value."""
         x = np.concatenate(
             [self._rows @ psi]
             + [(sign * psi[perm]) @ psi for perm, sign in self._gathers]
@@ -425,11 +439,8 @@ class Cost:
         )
         if draw is None:
             return x
-        # a Hadamard test reads 0 with probability (1 + x)/2, a projector
-        # circuit reads all zeros with probability x
-        k = self._brackets
-        drawn = draw(np.concatenate([(1.0 + x[:k]) / 2.0, x[k:]]))
-        return np.concatenate([2.0 * drawn[:k] - 1.0, drawn[k:]])  # ancilla bias 2 p0 - 1
+        slope, offset = self._shot_map
+        return (draw(x * slope + offset) - offset) / slope
 
     def _energy(self, e: np.ndarray) -> float:
         """<psi|G|psi> - <b|A|psi>^2 from the estimations e."""

@@ -630,6 +630,67 @@ def test_seeded_shot_costs_are_pinned():
         assert abs(cost(point) - value) <= 1e-12
 
 
+class _RecordingGenerator:
+    """A generator that keeps the probabilities of every binomial draw."""
+
+    def __init__(self, seed):
+        self.rng, self.p = np.random.default_rng(seed), []
+
+    def binomial(self, shots, p):
+        self.p.append(p)
+        return self.rng.binomial(shots, p)
+
+
+SHOT_FAMILIES = {
+    "dirichlet-1d": lambda seed: make_linear_system_cost(
+        PoissonProblem(1, 3), AnsatzSpec(3, 2), shots=1000, seed=seed),
+    "unified-1d-5-qubits": lambda seed: make_linear_system_cost(
+        PoissonProblem(1, 5, UNIFIED), AnsatzSpec(5, 2), shots=1000, seed=seed),
+    "words-2d": lambda seed: make_linear_system_cost(
+        PoissonProblem(2, 2), AnsatzSpec(4, 2), shots=1000, seed=seed),
+    "gram": lambda seed: make_toeplitz_system_cost(
+        ToeplitzSpec(8, {-2: 0.5, 0: 2.0, 1: -1.0}), np.arange(1.0, 9.0), AnsatzSpec(3, 2),
+        shots=1000, seed=seed),
+    "matvec": lambda seed: make_matvec_cost(
+        ToeplitzSpec(8, TRIDIAG), np.arange(8.0) - 2.5, AnsatzSpec(3, 2), shots=1000, seed=seed),
+}
+
+
+@pytest.mark.parametrize("family", list(SHOT_FAMILIES))
+def test_shot_draw_stream_matches_reference(family):
+    # 200 evaluations in a row, every fifth a report, each equal bit for bit
+    # to one Binomial(1000, clip(p)) draw in table order from the cost's
+    # seed: p = (1 + x)/2 for a bracket x, read back as 2f - 1, and p = x for
+    # a projector probability, read back as f
+    seed = 23
+    cost = SHOT_FAMILIES[family](seed)
+    recorder = cost._rng = _RecordingGenerator(seed)
+    reference = np.random.default_rng(seed)
+    rng = np.random.default_rng(83)
+    k, count, outside = cost._brackets, cost.ansatz.param_count, 0
+    for step in range(200):
+        # every other point on multiples of pi/2, where brackets reach +-1
+        # and a probability may round past [0, 1]
+        params = (rng.uniform(0, 2 * np.pi, count) if step % 2 else
+                  rng.integers(0, 4, count) * (np.pi / 2))
+        x = cost._sampled(ansatz_state(cost.ansatz, params))
+        p = np.concatenate([(1.0 + x[:k]) / 2.0, x[k:]])
+        outside += np.count_nonzero((p < 0) | (p > 1))
+        p = np.clip(p, 0.0, 1.0)
+        f = reference.binomial(1000, p) / 1000
+        e = np.concatenate([2.0 * f[:k] - 1.0, f[k:]])
+        energy = float(cost._w_g @ e + cost._c_g - (cost._w_a @ e) ** 2)
+        if step % 5 == 4:
+            value, rows = cost.report(params)
+            assert rows == cost._report(e)[1]
+        else:
+            value = cost(params)
+        assert value == energy
+        assert len(recorder.p) == step + 1 and np.array_equal(recorder.p[-1], p)
+    if family == "words-2d":  # the clip is exercised: some p rounds past [0, 1]
+        assert outside > 0
+
+
 def test_draw_order_is_table_order():
     # brackets <b|L^p|psi>, then brackets <psi|L^p|psi>, then projector
     # probabilities, even where G lists its projector pair before its band
