@@ -1,7 +1,7 @@
 """Exact dense linear algebra used as the classical ground truth.
 
 Everything in here is deliberately brute force: dense matrices, an O(n^2)
-DFT matrix, LU with partial pivoting.  These routines are the oracle that
+DFT matrix, a numpy LU with partial pivoting.  These routines are the oracle that
 every circuit and every decomposition in the package is checked against,
 so clarity beats speed.
 
@@ -18,7 +18,6 @@ Conventions fixed once for the whole package:
 from __future__ import annotations
 
 import numbers
-import warnings
 
 import numpy as np
 
@@ -52,35 +51,108 @@ def check_dense(dim: int, what: str) -> None:
 
 
 def dense_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` by LU with partial pivoting.
+    """Solve ``a @ x = b`` by a blocked LU with partial pivoting, then
+    forward and back substitution, all on numpy (no ``scipy.linalg``).
 
-    Raises SingularMatrix when any pivot magnitude drops to 1e-12 * max|a|
-    or below, or the residual fails the 1e-10 * ||b||_inf bound.  ``scipy.linalg`` is
-    imported here, its one user, so importing the package does not load it.
+    Each pivot is the first row with the largest |entry| in its column, the
+    row LAPACK's ``getrf`` picks.  Raises SingularMatrix when any pivot
+    magnitude drops to 1e-12 * max|a| or below, or the residual fails the
+    1e-10 * ||b||_inf bound; ValueError on a non-finite entry.  A real
+    system stays real, and the solve holds one copy of ``a`` plus strips of
+    at most 1/8 of it.
     """
-    import scipy.linalg
-
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise DimensionMismatch(f"expected a nonempty square matrix, got {a.shape}")
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch(f"rhs length {b.shape[0]} != matrix size {a.shape[0]}")
-    with warnings.catch_warnings():
-        # singularity is detected by the pivot check below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a)
-    pivots = np.abs(np.diag(lu))
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    lu, perm = _lu(a)
+    pivots = np.abs(np.diagonal(lu))
     # max|a|; a real matrix's is read off its extremes, without a copy of it
     bound = PIVOT_TOL * (max(a.max(), -a.min()) if np.isrealobj(a) else np.abs(a).max())
     if pivots.min() <= bound:
         raise SingularMatrix(f"pivot magnitude {pivots.min():.3e} not above {PIVOT_TOL} * max|a|"
                              f" = {bound:.3e}")
-    x = scipy.linalg.lu_solve((lu, piv), b)
+    x = b[perm].astype(np.result_type(lu, b), copy=False)
+    _forward(lu, x)
+    _backward(lu, x)
     residual = np.max(np.abs(a @ x - b))
     if residual > 1e-10 * max(np.max(np.abs(b)), 1e-300):
         raise SingularMatrix(f"solve residual {residual:.3e} too large; matrix ill-conditioned")
     return x
+
+
+# The factorization splits off left blocks of at most _PANEL columns and
+# halves each down to single columns; a substitution halves its triangle
+# down to _LEAF rows, which it solves one row at a time.
+_PANEL = 256
+_LEAF = 16
+
+
+def _lu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LU with partial pivoting of a square ``a``: ``a[perm] = L @ U``, with
+    L (unit diagonal) below the diagonal of ``lu`` and U on and above it."""
+    lu = np.array(a, dtype=np.result_type(a, float))
+    perm = np.arange(len(lu))
+    # a strip of the update holds at most 1/8 of the matrix's entries
+    _factor(lu, perm, 0, len(lu), max(1, lu.size // 8))
+    return lu, perm
+
+
+def _factor(lu: np.ndarray, perm: np.ndarray, c0: int, c1: int, budget: int) -> None:
+    """Factor columns c0:c1 of ``lu`` (rows c0 on) in place, L below the
+    diagonal and U on and above it, swapping whole rows of ``lu`` and ``perm``.
+
+    The left block (at most _PANEL columns) is factored first; the rows it
+    covers of the right block become U by forward substitution, and the rows
+    below lose the left block's product in strips of at most ``budget``
+    entries, so no temporary is as large as the matrix.  Then the right
+    block is factored.
+    """
+    if c1 - c0 == 1:
+        p = c0 + int(np.abs(lu[c0:, c0]).argmax())
+        if p != c0:
+            lu[[c0, p]] = lu[[p, c0]]
+            perm[[c0, p]] = perm[[p, c0]]
+        if lu[c0, c0] != 0:
+            lu[c0 + 1:, c0] /= lu[c0, c0]
+        return
+    mid = c0 + min(_PANEL, (c1 - c0) // 2)
+    _factor(lu, perm, c0, mid, budget)
+    _forward(lu[c0:mid, c0:mid], lu[c0:mid, mid:c1])
+    rows = max(1, budget // (c1 - mid))
+    for i in range(mid, lu.shape[0], rows):
+        lu[i:i + rows, mid:c1] -= lu[i:i + rows, c0:mid] @ lu[c0:mid, mid:c1]
+    _factor(lu, perm, mid, c1, budget)
+
+
+def _forward(lu: np.ndarray, y: np.ndarray) -> None:
+    """Overwrite ``y`` with L^-1 y, L the unit lower triangle of ``lu``."""
+    w = lu.shape[0]
+    if w <= _LEAF:
+        for r in range(1, w):
+            y[r] -= lu[r, :r] @ y[:r]
+        return
+    h = w // 2
+    _forward(lu[:h, :h], y[:h])
+    y[h:] -= lu[h:, :h] @ y[:h]
+    _forward(lu[h:, h:], y[h:])
+
+
+def _backward(lu: np.ndarray, y: np.ndarray) -> None:
+    """Overwrite ``y`` with U^-1 y, U the upper triangle of ``lu``."""
+    w = lu.shape[0]
+    if w <= _LEAF:
+        for r in range(w - 1, -1, -1):
+            y[r] = (y[r] - lu[r, r + 1:] @ y[r + 1:]) / lu[r, r]
+        return
+    h = w // 2
+    _backward(lu[h:, h:], y[h:])
+    y[:h] -= lu[:h, h:] @ y[h:]
+    _backward(lu[:h, :h], y[:h])
 
 
 def dft_matrix(n: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Oracle checks: DFT conventions, shift matrices, solves, state helpers."""
 
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 import scipy.linalg
 
 from vqtoeplitz.linalg import (
+    PIVOT_TOL,
     DimensionMismatch,
     SingularMatrix,
     ZeroVector,
@@ -22,8 +24,10 @@ from vqtoeplitz.linalg import (
     normalize,
     num_qubits,
     random_state,
+    _lu,
 )
-from vqtoeplitz.poisson import PoissonProblem, build_poisson, prepare_b
+from vqtoeplitz.poisson import BoundaryCondition, PoissonProblem, build_poisson, prepare_b
+from vqtoeplitz.toeplitz import ToeplitzSpec, toeplitz_to_dense
 
 
 def tridiag(n):
@@ -88,6 +92,66 @@ def test_dense_solve_real_system_peak_memory():
     assert x.dtype == np.float64
     assert np.max(np.abs(x - reference)) <= 1e-12
     assert peak < 1.5 * a.nbytes
+
+
+def _lu_cases():
+    rng = np.random.default_rng(27)
+    # random well-conditioned matrices (an orthogonal factor, so every column
+    # pivots) across the halving, the 256-column blocks and the strips
+    for n in (1, 2, 3, 8, 17, 64, 65, 129, 255, 256, 257, 300):
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        yield pytest.param(q * rng.uniform(1.0, 10.0, n), id=f"random-{n}")
+    # +-1 entries: columns whose largest |entry| is tied, which the first row wins
+    yield pytest.param(rng.choice([-1.0, 1.0], (16, 16)), id="signs-16")
+    yield pytest.param(build_poisson(PoissonProblem(1, 5)), id="dirichlet-1d")
+    unified = BoundaryCondition.unified(1, 2, 3, 1)
+    yield pytest.param(build_poisson(PoissonProblem(1, 5, unified)), id="unified-1d")
+    yield pytest.param(build_poisson(PoissonProblem(2, 4)), id="dirichlet-2d")
+    band = ToeplitzSpec(64, {0: 1.0, 1: 2.5, -1: -0.7, 2: 0.3, -3: 1.2})
+    yield pytest.param(toeplitz_to_dense(band), id="band")
+
+
+@pytest.mark.parametrize("a", list(_lu_cases()))
+def test_lu_matches_scipy(a):
+    # the same rows as LAPACK's getrf, the same |U diagonal| and the same x
+    lu, piv = scipy.linalg.lu_factor(a)
+    perm = np.arange(len(a))
+    for i, p in enumerate(piv):
+        perm[[i, p]] = perm[[p, i]]
+    ours, our_perm = _lu(a)
+    np.testing.assert_array_equal(our_perm, perm)
+    u, our_u = np.abs(np.diagonal(lu)), np.abs(np.diagonal(ours))
+    assert np.max(np.abs(our_u - u) / u) <= 1e-12
+    b = np.random.default_rng(len(a)).standard_normal(len(a))
+    x = dense_solve(a, b)
+    assert x.dtype == np.float64
+    assert np.max(np.abs(x - scipy.linalg.lu_solve((lu, piv), b))) <= 1e-12
+
+
+@pytest.mark.parametrize("a", [
+    np.eye(8) + np.eye(8, k=1) + np.eye(8, k=-1),  # tridiag(1, 1, 1) is singular at n = 8
+    np.diag([2.0, 2.0 * PIVOT_TOL * (1 - 1e-6)]),  # a pivot just under the relative bound
+], ids=["tridiag-1-1-1", "under-bound"])
+def test_dense_solve_singular_cases(a):
+    with pytest.raises(SingularMatrix):
+        dense_solve(a, np.ones(len(a)))
+
+
+def test_dense_solve_small_but_regular():
+    # the pivot bound is relative to max|a|, so a uniformly tiny matrix solves
+    b = np.array([1.0, -2.0, 3.0])
+    np.testing.assert_allclose(dense_solve(1e-13 * np.eye(3), b), 1e13 * b, rtol=1e-15)
+    a = np.diag([2.0, 2.0 * PIVOT_TOL * (1 + 1e-6)])
+    np.testing.assert_allclose(a @ dense_solve(a, np.ones(2)), np.ones(2), rtol=1e-12)
+
+
+def test_dense_solve_rejects_non_finite_and_empty():
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        dense_solve(np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        dense_solve(np.eye(2), np.array([1.0, np.inf]))
+    with pytest.raises(DimensionMismatch):
+        dense_solve(np.zeros((0, 0)), np.zeros(0))
 
 
 def test_dft_small_cases():
@@ -175,19 +239,41 @@ def test_num_qubits():
         num_qubits(np.zeros(6))
 
 
-def test_package_import_skips_scipy_linalg_and_optimize():
-    # dense_solve imports scipy.linalg and the sparse builders scipy.sparse
-    # when they run, and Nelder-Mead is in the package, so none of these
-    # modules' resident memory comes with the import
+def _python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on this checkout's sources; its output."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
+def test_package_import_skips_scipy_linalg_and_optimize():
+    # the sparse builders import scipy.sparse when they run, the LU and
+    # Nelder-Mead are numpy code in the package, so none of these modules'
+    # resident memory comes with the import
     probe = (
         "import sys, vqtoeplitz; "
         "print(sorted({'scipy.linalg', 'scipy.optimize', 'scipy.sparse'} & set(sys.modules)))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    assert _python(probe) == "[]"
+
+
+def test_solves_load_no_scipy_linalg_or_optimize(tmp_path):
+    # a whole CLI solve, reference LU included, runs on numpy and scipy.sparse
+    poisson, band = tmp_path / "poisson.json", tmp_path / "band.json"
+    poisson.write_text(json.dumps({"dimension": 1, "qubits_per_axis": 3}))
+    band.write_text(json.dumps({"n": 8, "coeffs": {"0": 2, "1": -1, "-1": -1}}))
+    runs = [
+        ["solve-poisson", "--config", str(poisson), "--restarts", "1", "--out", str(tmp_path / "p")],
+        ["toeplitz", "solve", "--config", str(band), "--restarts", "1", "--out", str(tmp_path / "t")],
+    ]
+    probe = (
+        "import sys; from vqtoeplitz import cli; "
+        f"codes = [cli.main(argv) for argv in {runs!r}]; "
+        "print(codes, sorted({'scipy.linalg', 'scipy.optimize'} & set(sys.modules)))"
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert _python(probe).splitlines()[-1] == "[0, 0] []"
