@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import check_dense, integer, power_of_two
+from .linalg import SparseMatrix, check_dense, integer, power_of_two
 from .toeplitz import (NotBanded, ToeplitzSpec, band_autocorrelation, band_sparse,
                        corner_corrections)
 
@@ -320,35 +320,29 @@ def decompose_banded_gram(spec: ToeplitzSpec) -> TermList:
 # reconstruction and counting
 
 
-def _op_sparse(op: Operator, n: int, dimension: int) -> scipy.sparse.csr_matrix:
-    import scipy.sparse  # here, so that importing the package does not load it
-
+def _op_sparse(op: Operator, n: int, dimension: int) -> SparseMatrix:
     if isinstance(op, ToeplitzSpec):
         return band_sparse(op)
     if isinstance(op, ProjectorPair):
         rows, cols = np.array(op.entries, dtype=int).reshape(-1, 2).T
-        dim = n**dimension
-        return scipy.sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(dim, dim))
+        return SparseMatrix.from_entries(n**dimension, rows, cols, np.ones(rows.size))
     if isinstance(op, TensorWord):
         perm, sign = word_permutation(op.letters, n)
-        return scipy.sparse.csr_matrix(
-            (sign, (np.arange(perm.size), perm)), shape=(perm.size, perm.size), dtype=float
-        )
+        return SparseMatrix.from_entries(perm.size, np.arange(perm.size), perm, sign)
     raise TypeError(f"unknown operator descriptor {type(op).__name__}")
 
 
-def reconstruct_sparse(term_list: TermList) -> scipy.sparse.csr_matrix:
+def reconstruct_sparse(term_list: TermList) -> SparseMatrix:
     """Coefficient-weighted sparse sum of all terms (the verification route)."""
-    import scipy.sparse  # here, so that importing the package does not load it
 
-    dim = term_list.total_dim
-    acc = scipy.sparse.csr_matrix((dim, dim))
-    for term in term_list.terms:
-        mat = _op_sparse(term.op, term_list.n, term_list.dimension)
-        acc = acc + term.coefficient * mat
-        if term.conjugate_pair:
-            acc = acc + term.coefficient * mat.T.tocsr()
-    return acc
+    def parts():  # one term at a time, so only the chunk being merged is held
+        for term in term_list.terms:
+            mat = _op_sparse(term.op, term_list.n, term_list.dimension)
+            yield term.coefficient, mat
+            if term.conjugate_pair:
+                yield term.coefficient, mat.T
+
+    return SparseMatrix.weighted_sum(term_list.total_dim, parts())
 
 
 def reconstruct_dense(term_list: TermList) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Exact dense linear algebra used as the classical ground truth.
 
 Everything in here is deliberately brute force: dense matrices, an O(n^2)
-DFT matrix, a numpy LU with partial pivoting.  These routines are the oracle that
-every circuit and every decomposition in the package is checked against,
-so clarity beats speed.
+DFT matrix, a numpy LU with partial pivoting, and ``SparseMatrix``, the
+sorted entries the pre-solve gate compares.  These routines are the oracle
+that every circuit and every decomposition in the package is checked
+against, so clarity beats speed.
 
 Conventions fixed once for the whole package:
 
@@ -153,6 +154,75 @@ def _backward(lu: np.ndarray, y: np.ndarray) -> None:
     _backward(lu[h:, h:], y[h:])
     y[:h] -= lu[:h, h:] @ y[h:]
     _backward(lu[:h, :h], y[:h])
+
+
+class SparseMatrix:
+    """A real dim x dim matrix as its nonzero entries in row-major order: the
+    sorted keys row * dim + col, each once, and their values.  The
+    constructor takes entries in any order, sums repeated ones from 0 one at
+    a time in the order given (as scipy.sparse adds matrices) and drops
+    zeros; a NaN stays, so every comparison sees it."""
+
+    _CHUNK = 1 << 16  # a weighted sum merges at least this many entries at a time
+
+    def __init__(self, dim: int, keys, values):
+        keys, values = np.asarray(keys, dtype=np.int64), np.asarray(values, dtype=float)
+        if not (keys[1:] > keys[:-1]).all():
+            order = keys.argsort(kind="stable")
+            keys, values = keys[order], values[order]
+            first = np.concatenate([[True], keys[1:] != keys[:-1]])
+            sums = np.zeros(np.count_nonzero(first))
+            np.add.at(sums, np.cumsum(first) - 1, values)
+            keys, values = keys[first], sums
+        kept = values != 0
+        self.dim, self.keys, self.values = dim, keys[kept], values[kept]
+
+    @classmethod
+    def from_entries(cls, dim: int, rows, cols, values) -> "SparseMatrix":
+        return cls(dim, np.asarray(rows, dtype=np.int64) * dim + cols, values)
+
+    @classmethod
+    def weighted_sum(cls, dim: int, parts) -> "SparseMatrix":
+        """sum(w * m for w, m in parts), each entry summed in the parts' order.
+        Parts are merged in chunks at least as large as the sum so far, so no
+        work array is much larger than the result."""
+        keys, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+        for weight, mat in parts:
+            keys.append(mat.keys)
+            values.append(weight * mat.values)
+            if sum(map(len, keys[1:])) >= max(len(keys[0]), cls._CHUNK):
+                total = cls(dim, np.concatenate(keys), np.concatenate(values))
+                keys, values = [total.keys], [total.values]
+        return cls(dim, np.concatenate(keys), np.concatenate(values))
+
+    @property
+    def T(self) -> "SparseMatrix":
+        rows, cols = np.divmod(self.keys, self.dim)
+        return SparseMatrix.from_entries(self.dim, cols, rows, self.values)
+
+    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
+        """The product, each entry summed over the inner index in order."""
+        rows, inner = np.divmod(self.keys, self.dim)
+        # other's row r is other.keys[starts[r]:starts[r + 1]]
+        starts = np.searchsorted(other.keys, np.arange(self.dim + 1) * self.dim)
+        first, counts = starts[inner], starts[inner + 1] - starts[inner]
+        # the entries of other each of self's entries multiplies, in order
+        picks = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - first, counts)
+        return SparseMatrix.from_entries(self.dim, np.repeat(rows, counts),
+                                         other.keys[picks] % self.dim,
+                                         np.repeat(self.values, counts) * other.values[picks])
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros((self.dim, self.dim))
+        out.ravel()[self.keys] = self.values
+        return out
+
+    def max_abs_difference(self, other: "SparseMatrix") -> float:
+        """max |self - other|: 0.0 when equal, NaN when either holds a NaN."""
+        if other.dim != self.dim:
+            raise DimensionMismatch(f"matrix sizes differ: {self.dim} vs {other.dim}")
+        difference = SparseMatrix.weighted_sum(self.dim, [(1.0, self), (-1.0, other)])
+        return float(np.max(np.abs(difference.values), initial=0.0))
 
 
 def dft_matrix(n: int) -> np.ndarray:

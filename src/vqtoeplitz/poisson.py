@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
-from .linalg import ZeroVector, check_dense, integer, normalize, real, real_array
+from .linalg import SparseMatrix, ZeroVector, check_dense, integer, normalize, real, real_array
 
 
 class WrongKind(ValueError):
@@ -125,20 +124,25 @@ def _corner(p1: float, p2: float, h: float) -> float:
     return p1 / (p1 + p2 * h)
 
 
-def poisson_sparse(problem: PoissonProblem) -> scipy.sparse.csr_matrix:
-    """CSR operator of any supported problem: the tridiagonal [-1, 2, -1]
-    band with boundary-adjusted corners, as a Kronecker sum over d axes."""
-    import scipy.sparse  # here, so that importing the package does not load it
-
-    n = problem.n
+def poisson_sparse(problem: PoissonProblem) -> SparseMatrix:
+    """The operator of any supported problem: the tridiagonal [-1, 2, -1]
+    band with boundary-adjusted corners, as a Kronecker sum over d axes
+    (the first axis most significant)."""
+    n, dimension = problem.n, problem.dimension
     diagonal = np.full(n, 2.0)
     if problem.boundary.kind == "unified":
         c, d = boundary_coefficients(problem.boundary, n)
         diagonal[0] -= c
         diagonal[n - 1] -= d
-    off = np.full(n - 1, -1.0)
-    one_d = scipy.sparse.diags([off, diagonal, off], [-1, 0, 1], format="csr")
-    return reduce(scipy.sparse.kronsum, [one_d] * problem.dimension).tocsr()
+    grid = np.indices((n,) * dimension).reshape(dimension, -1)  # each point's coordinates
+    points = np.arange(grid.shape[1])
+    entries = [(points, points, diagonal[grid].sum(axis=0))]
+    for coord, stride in zip(grid, n ** np.arange(dimension)[::-1]):
+        for step in (-1, 1):  # the neighbour one step along the axis, where there is one
+            inside = points[(0 <= coord + step) & (coord + step < n)]
+            entries.append((inside, inside + step * stride, -np.ones(inside.size)))
+    rows, cols, values = map(np.concatenate, zip(*entries))
+    return SparseMatrix.from_entries(points.size, rows, cols, values)
 
 
 def build_poisson(problem: PoissonProblem) -> np.ndarray:

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .linalg import DimensionMismatch, check_dense, integer, power_of_two, real
+from .linalg import DimensionMismatch, SparseMatrix, check_dense, integer, power_of_two, real
 
 
 class NotBanded(ValueError):
@@ -78,14 +78,14 @@ def unit_band(spec: ToeplitzSpec) -> ToeplitzSpec:
     return ToeplitzSpec(spec.n, {l: math.ldexp(t, -shift) for l, t in spec.coeffs.items()})
 
 
-def band_sparse(spec: ToeplitzSpec) -> scipy.sparse.csr_matrix:
-    """The band as an n x n CSR matrix, the one construction every view of
-    it reads.  Offset l > 0 is the l-th subdiagonal, scipy's diagonal -l."""
-    import scipy.sparse  # here, so that importing the package does not load it
-
-    coeffs = spec.coeffs or {0: 0.0}  # scipy needs at least one diagonal
-    return scipy.sparse.diags([np.full(spec.n - abs(l), t) for l, t in coeffs.items()],
-                              [-l for l in coeffs], shape=(spec.n, spec.n), format="csr")
+def band_sparse(spec: ToeplitzSpec) -> SparseMatrix:
+    """The band as an n x n ``SparseMatrix``, the one construction every view
+    of it reads.  Offset l > 0 is the l-th subdiagonal: entry (i, i - l)."""
+    offsets = list(spec.coeffs)
+    cols = np.arange(spec.n)[:, None] - np.array(offsets, dtype=np.int64)
+    rows, which = np.nonzero((cols >= 0) & (cols < spec.n))
+    values = np.array([spec.coeffs[l] for l in offsets], dtype=float)
+    return SparseMatrix.from_entries(spec.n, rows, cols[rows, which], values[which])
 
 
 def toeplitz_to_dense(spec: ToeplitzSpec) -> np.ndarray:

@@ -134,3 +134,26 @@ def test_failed_gate_exits_1_before_optimizing(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: verification failed: "), err
     assert not (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["A", "A2"])
+def test_nan_gate_exits_1_before_optimizing(tmp_path, capsys, monkeypatch, which):
+    # a NaN fails the gate closed whichever list holds it; in the square's
+    # first term the gate once read 0.0
+    default_term_lists = cli.default_term_lists
+
+    def with_nan(problem):
+        term_lists = list(default_term_lists(problem))
+        first, *rest = term_lists[which].terms
+        bad = deco.DecompositionTerm(float("nan"), first.op)
+        term_lists[which] = dataclasses.replace(term_lists[which], terms=(bad, *rest))
+        return tuple(term_lists)
+
+    monkeypatch.setattr(cli, "default_term_lists", with_nan)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(DIRICHLET))
+    out = tmp_path / "out"
+    assert run(["solve-poisson", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: verification failed: term-list reconstruction mismatch nan"], err
+    assert not (out / "trace.csv").exists()

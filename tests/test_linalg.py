@@ -277,3 +277,32 @@ def test_solves_load_no_scipy_linalg_or_optimize(tmp_path):
         "print(codes, sorted({'scipy.linalg', 'scipy.optimize'} & set(sys.modules)))"
     )
     assert _python(probe).splitlines()[-1] == "[0, 0] []"
+
+
+def test_no_solve_or_verify_loads_scipy(tmp_path):
+    # the pre-solve gate's sparse matrices are numpy code as well, so after
+    # each command no scipy module at all is loaded
+    configs = {
+        "dirichlet": {"dimension": 1, "qubits_per_axis": 3},
+        "unified": {"dimension": 1, "qubits_per_axis": 3, "boundary": {
+            "kind": "unified", "alpha1": 1, "alpha2": 2, "beta1": 3, "beta2": 1}},
+        "2d": {"dimension": 2, "qubits_per_axis": 2},
+        "band": {"n": 8, "coeffs": {"0": 2, "1": -1, "-1": -1}},
+    }
+    for name, payload in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    solve = ["--restarts", "1", "--config"]
+    runs = [["solve-poisson", *solve, str(tmp_path / f"{name}.json")]
+            for name in ("dirichlet", "unified", "2d")]
+    runs += [["toeplitz", mode, *solve, str(tmp_path / "band.json")] for mode in ("solve", "matvec")]
+    runs = [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(runs)]
+    runs.append(["verify", "--out", str(tmp_path / "verify")])
+    probe = (
+        "import sys; from vqtoeplitz import cli\n"
+        f"for argv in {runs!r}:\n"
+        "    code = cli.main(argv)\n"
+        "    scipy = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "    print('after', argv[:2], code, scipy)"
+    )
+    reports = [line for line in _python(probe).splitlines() if line.startswith("after ")]
+    assert reports == [f"after {argv[:2]} 0 []" for argv in runs]
